@@ -1,21 +1,20 @@
 /**
  * @file
- * Scale proof for the native engine + batched pipeline: drive one
- * simulated machine past 10^7 syscalls/sec of wall-clock event
- * processing with the full multi-tenant probe set attached (tenant
- * duration pair, tenant send/recv delta, heavy-hitter sketch), then
- * sweep a 16-machine cluster. Events enter through
- * Kernel::dispatchRawBatch as structure-of-arrays bursts — the
- * amortised path — with the scalar per-event path measured alongside
- * and checked byte-identical on every probe-visible output.
+ * Scale proof for the native engine: drive one simulated machine past
+ * 10^7 syscalls/sec of wall-clock event processing with the full
+ * multi-tenant probe set attached (tenant duration pair, tenant
+ * send/recv delta, heavy-hitter sketch), under each eBPF engine, then
+ * sweep a 16-machine cluster. Events enter through the tracepoint
+ * registry one at a time, exactly as the kernel's syscall dispatch
+ * fires them.
  *
  * Like bench_perf, every number here is a host wall-clock measurement;
- * the simulated outputs are engine- and batching-invariant (asserted
- * inline below and in tests/scale_test.cc).
+ * the simulated outputs are engine-invariant (asserted in
+ * tests/ebpf_diff_test.cc and tests/engine_test.cc).
  *
  * Flags: --json <path> (default BENCH_scale.json), --floor <ev/s>
- * (exit 1 if the headline machine misses the floor), --syscalls <n>
- * (headline storm size, default 12M).
+ * (exit 1 if the native row misses the floor), --syscalls <n>
+ * (native storm size, default 12M).
  */
 
 #include <chrono>
@@ -29,7 +28,6 @@
 
 #include "bench_util.hh"
 #include "core/cluster.hh"
-#include "ebpf/maps.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
 #include "kernel/kernel.hh"
@@ -68,14 +66,13 @@ struct Rig
 };
 
 Rig
-makeTenantRig(ebpf::ExecEngine engine, std::uint32_t batch_cpus)
+makeTenantRig(ebpf::ExecEngine engine)
 {
     Rig r;
     r.sim = std::make_unique<sim::Simulation>(1);
     r.kernel = std::make_unique<kernel::Kernel>(*r.sim);
     ebpf::RuntimeConfig rc;
     rc.engine = engine;
-    rc.batchCpus = batch_cpus;
     r.rt = std::make_unique<ebpf::EbpfRuntime>(*r.kernel, rc);
 
     ebpf::probes::TenantSet ts;
@@ -122,19 +119,19 @@ struct Storm
 };
 
 Storm
-makeStorm(std::size_t batch)
+makeStorm(std::size_t round)
 {
     static constexpr std::uint32_t kTgids[6] = {1000, 2000, 9000,
                                                 3000, 4000, 9001};
     static constexpr std::int64_t kSys[4] = {kSendto, kRecvfrom, kEpollWait,
                                              kWrite};
     Storm s;
-    s.sys.resize(batch);
-    s.rets.resize(batch);
-    s.pids.resize(batch);
-    s.enterTs.resize(batch);
-    s.exitTs.resize(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
+    s.sys.resize(round);
+    s.rets.resize(round);
+    s.pids.resize(round);
+    s.enterTs.resize(round);
+    s.exitTs.resize(round);
+    for (std::size_t i = 0; i < round; ++i) {
         const std::uint32_t tgid = kTgids[i % 6];
         const std::uint32_t tid =
             tgid + 1 + static_cast<std::uint32_t>((i / 6) % 8);
@@ -164,33 +161,7 @@ roundSpan(const Storm &s)
     return static_cast<sim::Tick>(2 * s.size()) * 200 + 1400;
 }
 
-/** Run @p rounds storm rounds through the batched path. */
-double
-runBatched(Rig &r, Storm &s, std::uint64_t rounds)
-{
-    kernel::RawSyscallBatch en;
-    en.point = kernel::TracepointId::SysEnter;
-    en.n = s.size();
-    en.syscalls = s.sys.data();
-    en.pidTgids = s.pids.data();
-    en.timestamps = s.enterTs.data();
-    kernel::RawSyscallBatch ex = en;
-    ex.point = kernel::TracepointId::SysExit;
-    ex.rets = s.rets.data();
-    ex.timestamps = s.exitTs.data();
-
-    sim::Tick base = 1;
-    const auto start = Clock::now();
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-        stampRound(s, base);
-        r.kernel->dispatchRawBatch(en);
-        r.kernel->dispatchRawBatch(ex);
-        base += roundSpan(s);
-    }
-    return secondsSince(start);
-}
-
-/** Same storm, scalar per-event dispatch (the pre-batching path). */
+/** Run @p rounds storm rounds, one tracepoint fire per event. */
 double
 runScalar(Rig &r, Storm &s, std::uint64_t rounds)
 {
@@ -219,56 +190,6 @@ runScalar(Rig &r, Storm &s, std::uint64_t rounds)
     return secondsSince(start);
 }
 
-/** Every probe-visible output of a tenant rig, for equivalence checks. */
-struct Fingerprint
-{
-    std::uint64_t events = 0;
-    std::uint64_t insns = 0;
-    std::int64_t cost = 0;
-    std::uint64_t mapFails = 0;
-    std::uint64_t drops = 0;
-    std::vector<ebpf::probes::SyscallStats> durStats, deltaStats;
-    std::vector<std::pair<std::vector<std::uint8_t>, std::uint64_t>> top;
-
-    bool operator==(const Fingerprint &o) const
-    {
-        auto statsEq = [](const std::vector<ebpf::probes::SyscallStats> &a,
-                          const std::vector<ebpf::probes::SyscallStats> &b) {
-            if (a.size() != b.size())
-                return false;
-            return a.empty() ||
-                   std::memcmp(a.data(), b.data(),
-                               a.size() *
-                                   sizeof(ebpf::probes::SyscallStats)) == 0;
-        };
-        return events == o.events && insns == o.insns && cost == o.cost &&
-               mapFails == o.mapFails && drops == o.drops &&
-               statsEq(durStats, o.durStats) &&
-               statsEq(deltaStats, o.deltaStats) && top == o.top;
-    }
-};
-
-Fingerprint
-fingerprint(const Rig &r)
-{
-    Fingerprint f;
-    f.events = r.rt->eventsProcessed();
-    f.insns = r.rt->insnsInterpreted();
-    f.cost = r.rt->totalProbeCost();
-    f.mapFails = r.rt->mapUpdateFails();
-    f.drops = r.rt->ringbufDrops();
-    for (std::uint32_t slot = 0; slot < kTenants; ++slot) {
-        f.durStats.push_back(
-            r.rt->arrayAt(r.dur.statsFd)
-                .at<ebpf::probes::SyscallStats>(slot));
-        f.deltaStats.push_back(
-            r.rt->arrayAt(r.delta.statsFd)
-                .at<ebpf::probes::SyscallStats>(slot));
-    }
-    f.top = r.rt->sketchAt(r.sketchFd).topK(kTenants);
-    return f;
-}
-
 /** One measured configuration for the report/JSON. */
 struct Row
 {
@@ -281,27 +202,23 @@ struct Row
 
 Row
 measure(const std::string &label, ebpf::ExecEngine engine,
-        std::uint64_t syscalls, std::size_t batch, bool batched,
-        Fingerprint *fp = nullptr, std::uint32_t batch_cpus = 1)
+        std::uint64_t syscalls, std::size_t round)
 {
-    Rig r = makeTenantRig(engine, batch_cpus);
-    Storm s = makeStorm(batch);
+    Rig r = makeTenantRig(engine);
+    Storm s = makeStorm(round);
     const std::uint64_t rounds = std::max<std::uint64_t>(
-        1, syscalls / batch);
+        1, syscalls / round);
     // Warm caches, branch history, and the hash map's bucket layout.
-    (void)(batched ? runBatched(r, s, 1) : runScalar(r, s, 1));
+    (void)runScalar(r, s, 1);
     const std::uint64_t events0 = r.rt->eventsProcessed();
-    const double secs =
-        batched ? runBatched(r, s, rounds) : runScalar(r, s, rounds);
+    const double secs = runScalar(r, s, rounds);
     Row row;
     row.label = label;
-    row.syscalls = rounds * batch;
+    row.syscalls = rounds * round;
     row.seconds = secs;
     row.syscallsPerSec = static_cast<double>(row.syscalls) / secs;
     row.probeEventsPerSec =
         static_cast<double>(r.rt->eventsProcessed() - events0) / secs;
-    if (fp)
-        *fp = fingerprint(r);
     return row;
 }
 
@@ -310,81 +227,6 @@ printRow(const Row &r)
 {
     std::printf("  %-28s %10.2fs %14.0f %14.0f\n", r.label.c_str(),
                 r.seconds, r.syscallsPerSec, r.probeEventsPerSec);
-}
-
-/**
- * Per-CPU sharding ablation: the plain Listing-1 duration pair with its
- * stats slab replaced by a PerCpuArrayMap, all events from one tenant
- * so every lane lands on the same slot — worst case for a shared
- * accumulator, best case for shards. Returns syscalls/sec and checks
- * the shard fold against the scalar total.
- */
-double
-perCpuAblation(std::uint32_t cpus, std::uint64_t syscalls,
-               std::size_t batch, ebpf::probes::SyscallStats *folded)
-{
-    sim::Simulation sim(1);
-    kernel::Kernel kernel(sim);
-    ebpf::RuntimeConfig rc;
-    rc.engine = ebpf::ExecEngine::Native;
-    rc.batchCpus = cpus;
-    ebpf::EbpfRuntime rt(kernel, rc);
-    ebpf::probes::DurationMaps maps;
-    maps.startFd = rt.createHashMap(sizeof(std::uint64_t),
-                                    sizeof(std::uint64_t), 16384,
-                                    "ablate.start");
-    maps.statsFd = rt.createPerCpuArrayMap(
-        sizeof(ebpf::probes::SyscallStats), 1, cpus, "ablate.stats");
-    const auto v1 = rt.loadAndAttach(
-        ebpf::probes::buildDurationEnter(rt, 1000, kEpollWait, maps),
-        kernel::TracepointId::SysEnter);
-    const auto v2 = rt.loadAndAttach(
-        ebpf::probes::buildDurationExit(rt, 1000, kEpollWait, maps),
-        kernel::TracepointId::SysExit);
-    if (!v1 || !v2)
-        sim::fatal("bench_scale: ablation probe failed to load");
-
-    Storm s = makeStorm(batch);
-    // One tenant, one syscall: every event takes the full probe path.
-    for (std::size_t i = 0; i < batch; ++i) {
-        s.pids[i] = kernel::makePidTgid(
-            1000, 1001 + static_cast<std::uint32_t>(i % 32));
-        s.sys[i] = kEpollWait;
-    }
-
-    kernel::RawSyscallBatch en;
-    en.point = kernel::TracepointId::SysEnter;
-    en.n = batch;
-    en.syscalls = s.sys.data();
-    en.pidTgids = s.pids.data();
-    en.timestamps = s.enterTs.data();
-    kernel::RawSyscallBatch ex = en;
-    ex.point = kernel::TracepointId::SysExit;
-    ex.rets = s.rets.data();
-    ex.timestamps = s.exitTs.data();
-
-    const std::uint64_t rounds =
-        std::max<std::uint64_t>(1, syscalls / batch);
-    sim::Tick base = 1;
-    const auto start = Clock::now();
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-        stampRound(s, base);
-        kernel.dispatchRawBatch(en);
-        kernel.dispatchRawBatch(ex);
-        base += roundSpan(s);
-    }
-    const double secs = secondsSince(start);
-
-    auto &stats = dynamic_cast<ebpf::PerCpuArrayMap &>(rt.mapAt(maps.statsFd));
-    *folded = {};
-    for (std::uint32_t cpu = 0; cpu < stats.cpus(); ++cpu) {
-        const auto shard =
-            stats.shardAt<ebpf::probes::SyscallStats>(cpu, 0);
-        folded->count += shard.count;
-        folded->sumNs += shard.sumNs;
-        folded->sumSqQ += shard.sumSqQ;
-    }
-    return static_cast<double>(rounds * batch) / secs;
 }
 
 /**
@@ -464,95 +306,24 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--syscalls") == 0 && i + 1 < argc)
             headline_syscalls = std::strtoull(argv[++i], nullptr, 10);
     }
-    constexpr std::size_t kBatch = 4096;
+    constexpr std::size_t kRound = 4096;
 
-    bench::printHeader("Scale: one machine under a batched syscall storm");
+    bench::printHeader("Scale: one machine under a syscall storm");
     std::printf("tenant probe set: duration pair + send/recv delta + "
                 "heavy hitter (4 tenants)\n");
-    std::printf("  %-28s %11s %14s %14s\n", "configuration", "wall",
+    std::printf("  %-28s %11s %14s %14s\n", "engine", "wall",
                 "syscalls/s", "probe ev/s");
 
-    // --- engine ladder, batched pipeline ---
-    const Row ref = measure("reference + batch",
-                            ebpf::ExecEngine::Reference,
-                            headline_syscalls / 12, kBatch, true);
+    // --- engine ladder, per-event dispatch ---
+    const Row ref = measure("reference", ebpf::ExecEngine::Reference,
+                            headline_syscalls / 12, kRound);
     printRow(ref);
-    const Row xlt = measure("translated + batch",
-                            ebpf::ExecEngine::Translated,
-                            headline_syscalls / 3, kBatch, true);
+    const Row xlt = measure("translated", ebpf::ExecEngine::Translated,
+                            headline_syscalls / 3, kRound);
     printRow(xlt);
-    const Row nat = measure("native + batch", ebpf::ExecEngine::Native,
-                            headline_syscalls, kBatch, true);
+    const Row nat = measure("native", ebpf::ExecEngine::Native,
+                            headline_syscalls, kRound);
     printRow(nat);
-
-    // --- batch vs scalar on the native engine, equivalence-checked ---
-    Fingerprint fp_scalar, fp_batch;
-    const Row nat_scalar =
-        measure("native + scalar dispatch", ebpf::ExecEngine::Native,
-                headline_syscalls / 4, kBatch, false, &fp_scalar);
-    printRow(nat_scalar);
-    const Row nat_same =
-        measure("native + batch (same storm)", ebpf::ExecEngine::Native,
-                headline_syscalls / 4, kBatch, true, &fp_batch);
-    printRow(nat_same);
-    if (!(fp_scalar == fp_batch))
-        sim::fatal("bench_scale: batch/scalar outputs diverged");
-    std::printf("  batch == scalar on every probe-visible output "
-                "(counters, stats, sketch)\n");
-
-    // --- per-CPU shard ablation ---
-    ebpf::probes::SyscallStats fold1, fold4;
-    const double shard1 =
-        perCpuAblation(1, headline_syscalls / 4, kBatch, &fold1);
-    const double shard4 =
-        perCpuAblation(4, headline_syscalls / 4, kBatch, &fold4);
-    if (fold1.count != fold4.count || fold1.sumNs != fold4.sumNs ||
-        fold1.sumSqQ != fold4.sumSqQ)
-        sim::fatal("bench_scale: per-CPU shard fold diverged");
-    std::printf("\nper-CPU stats sharding (Listing-1 pair, every event "
-                "hits slot 0)\n");
-    std::printf("  %-28s %14.0f syscalls/s\n", "1 shard", shard1);
-    std::printf("  %-28s %14.0f syscalls/s (fold == 1-shard totals)\n",
-                "4 shards", shard4);
-
-    // --- raw-storm thread sweep: M independent rigs, one OS thread
-    // each. This measures host event-processing capacity only — every
-    // rig is an isolated storm with no cluster harness, and on hosts
-    // with fewer cores than machines the aggregate line is flat by
-    // construction. The domain-engine ladder below is the scaling
-    // measurement. ---
-    std::printf("\nraw-storm thread sweep (host capacity, NOT cluster "
-                "scaling; %llu syscalls per machine)\n",
-                static_cast<unsigned long long>(headline_syscalls / 8));
-    std::printf("  %-10s %-16s %12s %16s\n", "machines", "engine",
-                "wall secs", "agg syscalls/s");
-    std::vector<std::pair<unsigned, double>> cluster;
-    for (unsigned machines : {1u, 2u, 4u, 8u, 16u}) {
-        std::vector<std::unique_ptr<Rig>> rigs;
-        std::vector<Storm> storms;
-        for (unsigned m = 0; m < machines; ++m) {
-            rigs.push_back(std::make_unique<Rig>(
-                makeTenantRig(ebpf::ExecEngine::Native, 1)));
-            storms.push_back(makeStorm(kBatch));
-        }
-        const std::uint64_t per_machine =
-            std::max<std::uint64_t>(1, headline_syscalls / 8 / kBatch);
-        const auto start = Clock::now();
-        std::vector<std::thread> threads;
-        for (unsigned m = 0; m < machines; ++m) {
-            threads.emplace_back([&, m] {
-                runBatched(*rigs[m], storms[m], per_machine);
-            });
-        }
-        for (auto &t : threads)
-            t.join();
-        const double secs = secondsSince(start);
-        const double agg =
-            static_cast<double>(machines * per_machine * kBatch) / secs;
-        std::printf("  %-10u %-16s %12.2f %16.0f\n", machines,
-                    "native+batch", secs, agg);
-        cluster.emplace_back(machines, agg);
-    }
 
     // --- domain-engine ladder: the full cluster harness under the
     // serial engine and the parallel discrete-event engine. Load scales
@@ -598,7 +369,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"batch\": %zu,\n", kBatch);
     auto emitRow = [f](const char *key, const Row &r, const char *sep) {
         std::fprintf(f,
                      "  \"%s\": {\"syscalls\": %llu, \"seconds\": %.3f, "
@@ -607,23 +377,9 @@ main(int argc, char **argv)
                      key, static_cast<unsigned long long>(r.syscalls),
                      r.seconds, r.syscallsPerSec, r.probeEventsPerSec, sep);
     };
-    emitRow("reference_batch", ref, ",");
-    emitRow("translated_batch", xlt, ",");
-    emitRow("native_batch", nat, ",");
-    emitRow("native_scalar", nat_scalar, ",");
-    std::fprintf(f, "  \"batch_amortisation\": %.3f,\n",
-                 nat_same.syscallsPerSec / nat_scalar.syscallsPerSec);
-    std::fprintf(f, "  \"percpu_shards\": {\"one\": %.0f, \"four\": %.0f},\n",
-                 shard1, shard4);
-    std::fprintf(f, "  \"raw_storm_threads\": [\n");
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-        std::fprintf(f,
-                     "    {\"machines\": %u, \"agg_syscalls_per_sec\": "
-                     "%.0f}%s\n",
-                     cluster[i].first, cluster[i].second,
-                     i + 1 < cluster.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
+    emitRow("reference_scalar", ref, ",");
+    emitRow("translated_scalar", xlt, ",");
+    emitRow("native_scalar", nat, ",");
     std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
     std::fprintf(f, "  \"cluster_engine_ladder\": [\n");
     for (std::size_t i = 0; i < ladder.size(); ++i) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full pre-merge check: Release build + tier-1 tests (default and
-# native-engine runs), sanitizer build + tier-1 tests, then the gated
+# Full pre-merge check: Release build + tier-1 tests, sanitizer build +
+# tier-1 tests, then the gated
 # host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json), the closed-loop control report
 # (BENCH_control.json), the front-door storm report
@@ -34,13 +34,6 @@ cmake --build "$repo/build-check" -j "$jobs"
 # is the belt-and-braces ceiling so a hung sampler can never wedge CI.
 ctest --test-dir "$repo/build-check" --output-on-failure -j "$jobs" \
     --timeout 300
-
-# The native engine must be a drop-in replacement: the entire suite has
-# to pass with every library probe running through the shape-specialised
-# kernels (unmatched programs silently fall back to the translated VM).
-echo "== Native-engine suite =="
-REQOBS_ENGINE=native ctest --test-dir "$repo/build-check" \
-    --output-on-failure -j "$jobs" --timeout 300
 
 # The fleet suite (tenant probes, load balancing, cluster harness) runs
 # in the full sweep above; run it by label too so a filtered tier-1
@@ -115,9 +108,11 @@ if [ "$run_sanitize" = 1 ]; then
     cmake --build "$repo/build-check-asan" -j "$jobs"
     ctest --test-dir "$repo/build-check-asan" --output-on-failure -j "$jobs" \
         --timeout 300
-    # The chaos suite (fault injection + supervised lifecycle) is where
-    # use-after-free and double-teardown bugs live; run it explicitly
-    # under sanitizers so a filtered tier-1 run can never skip it.
+    # The chaos suite (fault injection + supervised lifecycle, and the
+    # whole-run engine differential that drives native kernels through
+    # chaos runs) is where use-after-free and double-teardown bugs live;
+    # run it explicitly under sanitizers so a filtered tier-1 run can
+    # never skip it.
     echo "== Sanitizer chaos suite =="
     ctest --test-dir "$repo/build-check-asan" --output-on-failure \
         -j "$jobs" -L chaos --timeout 300
@@ -143,12 +138,12 @@ if [ "$run_sanitize" = 1 ]; then
     # Build everything: gtest_discover_tests silently drops unbuilt
     # binaries from the label run, which would hollow out the pass.
     cmake --build "$repo/build-check-tsan" -j "$jobs"
-    # The storm and sched suites ride along (their labels regex-match
-    # perf), named explicitly so trimming the compound labels can't
-    # silently drop them; sched covers the parallel cluster engine
-    # driving per-machine discrete schedulers.
+    # The storm, sched and engine suites ride along (their labels
+    # regex-match perf), named explicitly so trimming the compound
+    # labels can't silently drop them; sched covers the parallel cluster
+    # engine driving per-machine discrete schedulers.
     ctest --test-dir "$repo/build-check-tsan" --output-on-failure \
-        -j "$jobs" -L 'perf|fleet|storm|sched' --timeout 300
+        -j "$jobs" -L 'perf|fleet|storm|sched|engine' --timeout 300
 fi
 
 if [ "$run_bench" = 1 ]; then
@@ -156,7 +151,7 @@ if [ "$run_bench" = 1 ]; then
     # speedup over the reference interpreter regresses below 8x (it
     # measures ~11x; the paper target is 10x on an unloaded host), and
     # bench_scale fails if one machine can no longer sustain 1e7
-    # syscalls/sec through the batched native pipeline.
+    # syscalls/sec through per-event dispatch on the native engine.
     echo "== Host perf report =="
     "$repo/build-check/bench/bench_perf" --json "$repo/BENCH_perf.json" \
         --min-speedup 8

@@ -52,8 +52,7 @@ struct ExecEnv
     fault::FaultInjector *fault = nullptr;
     /**
      * Simulated CPU the program runs on: selects the shard of per-CPU
-     * maps. Scalar dispatch always runs on CPU 0; the batched pipeline
-     * stripes events across lanes (see EbpfRuntime's batch executor).
+     * maps. Tracepoint dispatch always runs programs on CPU 0.
      */
     std::uint32_t cpu = 0;
 };

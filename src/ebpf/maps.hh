@@ -393,13 +393,11 @@ class ArrayMap : public Map
 
 /**
  * BPF_MAP_TYPE_PERCPU_ARRAY with real shards: one value slab per
- * simulated CPU, so concurrent batch lanes update private accumulators
- * instead of serialising on one cache line — the sharding that breaks
- * the shared-map dependency chain in the batched pipeline. In-kernel
- * lookups resolve to the executing CPU's shard (ExecEnv::cpu, threaded
- * through the engines' map dispatch); scalar execution always runs on
- * CPU 0, so with one lane the map behaves exactly like a plain array.
- * Userspace readers fold the shards with forEachShard()/shardAt().
+ * simulated CPU. In-kernel lookups resolve to the executing CPU's shard
+ * (ExecEnv::cpu, threaded through the engines' map dispatch);
+ * tracepoint dispatch always runs programs on CPU 0, so in-kernel
+ * updates land in shard 0. Userspace readers fold the shards with
+ * shardAt().
  */
 class PerCpuArrayMap : public Map
 {

@@ -409,9 +409,53 @@ runTenantDurationExit(const NativeProgram &p, const TraceCtx &ctx,
     res.insns += n + 2; // out: mov r0, exit
 }
 
+/**
+ * Stamp-to-histogram tail shared by the runqlat switch and front-door
+ * accept kernels, from the stamp lookup on (the key is already on the
+ * stack): take and delete the stamp under @p key, bucket now - stamp
+ * into tenant @p t's log2 row, and count it.
+ */
+inline void
+stampToHistogram(const NativeProgram &p, std::uint64_t key,
+                 std::uint64_t now, int t, ExecEnv &env, std::uint64_t &n)
+{
+    n += 5; // ld_map_fd, mov, add, call lookup, jeq null
+    std::uint8_t *sv = mapLookupHot(p.start, bytes(&key), env.cpu);
+    if (!sv)
+        return;
+    n += 1; // ldxdw r3 = *stamp
+    std::uint64_t stamp;
+    std::memcpy(&stamp, sv, 8);
+    n += 2; // mov r8, sub
+    const std::uint64_t wait = now - stamp;
+    n += 4; // delete: ld_map_fd, mov, add, call
+    mapEraseHot(p.start, bytes(&key));
+    n += 2; // rsh shift, movImm r6 0
+    const unsigned bucket = log2Bucket16(wait >> (p.shift & 63), n);
+    n += 2; // lsh r7, add
+    const std::uint32_t idx =
+        static_cast<std::uint32_t>(t) * probes::kRunqlatBuckets + bucket;
+    n += 6; // stx idx, ld_map_fd, mov, add, call lookup, jeq null
+    std::uint8_t *slot = mapLookupHot(p.hist, bytes(&idx), env.cpu);
+    if (!slot)
+        return;
+    n += 3; // ldxdw, addImm, stxdw
+    std::uint64_t c;
+    std::memcpy(&c, slot, 8);
+    c += 1;
+    std::memcpy(slot, &c, 8);
+}
+
+static_assert(probes::kRunqlatBuckets == probes::kFrontDoorBuckets,
+              "stampToHistogram serves both histogram layouts");
+
+/**
+ * ctx->id -> ctx->ts stamp. The runqlat wakeup and front-door ingress
+ * emitters produce the same bytes, so both run this kernel.
+ */
 void
-runRunqlatWakeup(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
-                 NativeResult &res)
+runIdStamp(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
+           NativeResult &res)
 {
     // 2 ctx loads + 2 stores, ld_map_fd, 4 arg insns, mov flags, call
     std::uint64_t n = 11;
@@ -435,39 +479,25 @@ runRunqlatSwitch(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         gatedMapUpdate(p.start, bytes(&key), bytes(&val), BPF_ANY, env,
                        res);
     }
-    do {
-        const int t = matchTenantSlot(p, ctx.pidTgid >> 32, n);
-        if (t < 0)
-            break;
+    const int t = matchTenantSlot(p, ctx.pidTgid >> 32, n);
+    if (t >= 0) {
         n += 4; // mov r8, lsh, rsh, stxdw key
-        const std::uint64_t key = ctx.pidTgid & 0xffffffffull;
-        n += 5; // ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key), env.cpu);
-        if (!sv)
-            break;
-        n += 1; // ldxdw r3 = *wake_ns
-        std::uint64_t wakeNs;
-        std::memcpy(&wakeNs, sv, 8);
-        n += 2; // mov r8, sub
-        const std::uint64_t wait = ctx.ts - wakeNs;
-        n += 4; // delete: ld_map_fd, mov, add, call
-        mapEraseHot(p.start, bytes(&key));
-        n += 2; // rsh shift, movImm r6 0
-        const unsigned bucket = log2Bucket16(wait >> (p.shift & 63), n);
-        n += 2; // lsh r7, add
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(t) * probes::kRunqlatBuckets +
-            bucket;
-        n += 6; // stx idx, ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *slot = mapLookupHot(p.hist, bytes(&idx), env.cpu);
-        if (!slot)
-            break;
-        n += 3; // ldxdw, addImm, stxdw
-        std::uint64_t c;
-        std::memcpy(&c, slot, 8);
-        c += 1;
-        std::memcpy(slot, &c, 8);
-    } while (false);
+        stampToHistogram(p, ctx.pidTgid & 0xffffffffull, ctx.ts, t, env, n);
+    }
+    res.insns += n + 2; // out: mov r0, exit
+}
+
+void
+runFrontDoorAccept(const NativeProgram &p, const TraceCtx &ctx,
+                   ExecEnv &env, NativeResult &res)
+{
+    std::uint64_t n = 2; // ldxdw r8 flow, ldxdw r9 ts
+    const int t =
+        matchTenant(p, ctx.pidTgid >> 32, 0, /*match_poll=*/false, n);
+    if (t >= 0) {
+        n += 1; // stxdw key
+        stampToHistogram(p, ctx.id, ctx.ts, t, env, n);
+    }
     res.insns += n + 2; // out: mov r0, exit
 }
 
@@ -496,13 +526,13 @@ constexpr std::uint8_t kJneK = BPF_JMP | BPF_JNE | BPF_K;
 constexpr std::uint8_t kJeqK = BPF_JMP | BPF_JEQ | BPF_K;
 constexpr std::uint8_t kRshK = BPF_ALU64 | BPF_RSH | BPF_K;
 
-/** Immediates of jump insns with @p opcode (optionally dst-filtered). */
+/** Immediates of jump insns with @p opcode on register @p dst. */
 std::vector<std::int32_t>
-jumpImms(const std::vector<Insn> &insns, std::uint8_t opcode, int dst = -1)
+jumpImms(const std::vector<Insn> &insns, std::uint8_t opcode, int dst)
 {
     std::vector<std::int32_t> out;
     for (const Insn &i : insns)
-        if (i.opcode == opcode && (dst < 0 || i.dst == dst))
+        if (i.opcode == opcode && i.dst == dst)
             out.push_back(i.imm);
     return out;
 }
@@ -523,8 +553,7 @@ mapFds(const std::vector<Insn> &insns)
  * Immediate of the last rsh-by-constant: the filter prologue right
  * shifts by 32, every accumulate body shifts by the probe's
  * quantisation amount afterwards — so for the shapes that need it, the
- * last one is the shift. A wrong guess can only fail the re-emission
- * check, never mis-compile.
+ * last one is the shift.
  */
 int
 lastRshImm(const std::vector<Insn> &insns)
@@ -535,6 +564,28 @@ lastRshImm(const std::vector<Insn> &insns)
             v = i.imm;
     return v;
 }
+
+/**
+ * Candidate emitter parameters, read off the bytecode once and offered
+ * to every recogniser. A wrong guess can only fail the re-emission
+ * check, never mis-compile.
+ */
+struct Operands
+{
+    explicit Operands(const std::vector<Insn> &insns)
+        : tgid(jumpImms(insns, kJneK, R7)), syscall(jumpImms(insns, kJneK, R8)),
+          family(jumpImms(insns, kJeqK, R8)),
+          tenants(jumpImms(insns, kJeqK, R7)), fds(mapFds(insns)),
+          shift(lastRshImm(insns))
+    {}
+
+    std::vector<std::int32_t> tgid;    ///< jne r7: single-tgid filter
+    std::vector<std::int32_t> syscall; ///< jne r8: syscall or poll chain
+    std::vector<std::int32_t> family;  ///< jeq r8: syscall-family chain
+    std::vector<std::int32_t> tenants; ///< jeq r7: tenant tgid chain
+    std::vector<int> fds;
+    int shift;
+};
 
 bool
 sameInsns(const std::vector<Insn> &a, const std::vector<Insn> &b)
@@ -566,105 +617,20 @@ statsMapOk(const Map *m)
            m->valueSize() == sizeof(probes::SyscallStats);
 }
 
-/** slot (u32) -> count (u64) sketch. */
+/** index (u32) -> count (u64): sketch or log2-histogram array. */
 bool
-sketchMapOk(const Map *m)
+countMapOk(const Map *m)
 {
     return m && m->keySize() == 4 && m->valueSize() == 8;
 }
 
-/** index (u32) -> count (u64) log2-histogram array. */
-bool
-histMapOk(const Map *m)
+std::vector<std::uint64_t>
+signExtended(const std::vector<std::int32_t> &imms)
 {
-    return m && m->keySize() == 4 && m->valueSize() == 8;
-}
-
-bool
-matchDurationEnter(const ProgramSpec &spec, NativeProgram *out)
-{
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto sc = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    if (tg.size() != 1 || sc.size() != 1 || fds.size() != 1)
-        return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::durationEnter(
-                       static_cast<std::uint32_t>(tg[0]), sc[0], fds[0])))
-        return false;
-    Map *start = findMap(spec, fds[0]);
-    if (!startMapOk(start))
-        return false;
-    out->fn = runDurationEnter;
-    out->shape = "duration_enter";
-    out->tgidCmp = sx(tg[0]);
-    out->syscallCmp = sx(sc[0]);
-    out->start = start;
-    return true;
-}
-
-bool
-matchDurationExit(const ProgramSpec &spec, NativeProgram *out)
-{
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto sc = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (tg.size() != 1 || sc.size() != 1 || fds.size() != 3 || shift < 0)
-        return false;
-    for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::durationExit(
-                           static_cast<std::uint32_t>(tg[0]), sc[0], fds[0],
-                           fds[2], static_cast<unsigned>(shift), g)))
-            continue;
-        Map *start = findMap(spec, fds[0]);
-        Map *stats = findMap(spec, fds[2]);
-        if (!startMapOk(start) || !statsMapOk(stats))
-            return false;
-        out->fn = runDurationExit;
-        out->shape = "duration_exit";
-        out->tgidCmp = sx(tg[0]);
-        out->syscallCmp = sx(sc[0]);
-        out->shift = static_cast<unsigned>(shift);
-        out->guarded = g;
-        out->start = start;
-        out->stats = stats;
-        return true;
-    }
-    return false;
-}
-
-bool
-matchDeltaExit(const ProgramSpec &spec, NativeProgram *out)
-{
-    const auto fam = jumpImms(spec.insns, kJeqK, R8);
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (fam.empty() || tg.size() != 1 || fds.size() != 1 || shift < 0)
-        return false;
-    const std::vector<std::int64_t> family(fam.begin(), fam.end());
-    for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::deltaExit(
-                           static_cast<std::uint32_t>(tg[0]), family, fds[0],
-                           static_cast<unsigned>(shift), g)))
-            continue;
-        Map *stats = findMap(spec, fds[0]);
-        if (!statsMapOk(stats))
-            return false;
-        out->fn = runDeltaExit;
-        out->shape = "delta_exit";
-        out->tgidCmp = sx(tg[0]);
-        out->shift = static_cast<unsigned>(shift);
-        out->guarded = g;
-        out->stats = stats;
-        for (std::int32_t f : fam)
-            out->familyCmp.push_back(sx(f));
-        return true;
-    }
-    return false;
+    std::vector<std::uint64_t> out;
+    for (std::int32_t v : imms)
+        out.push_back(sx(v));
+    return out;
 }
 
 /** Tenant set as re-emission input: tgids from the jeq chain, polls
@@ -685,231 +651,314 @@ tenantSetFrom(const std::vector<std::int32_t> &tgids,
 }
 
 bool
-matchTenantDeltaExit(const ProgramSpec &spec, NativeProgram *out)
+matchDurationEnter(const ProgramSpec &spec, const Operands &op,
+                   NativeProgram *out)
 {
-    const auto fam = jumpImms(spec.insns, kJeqK, R8);
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (fam.empty() || tgids.empty() || fds.size() != 1 || shift < 0)
+    if (op.tgid.size() != 1 || op.syscall.size() != 1 || op.fds.size() != 1)
         return false;
-    const std::vector<std::int64_t> family(fam.begin(), fam.end());
-    const probes::TenantSet ts = tenantSetFrom(tgids, {});
+    if (!sameInsns(spec.insns, probes::emit::durationEnter(
+                                   static_cast<std::uint32_t>(op.tgid[0]),
+                                   op.syscall[0], op.fds[0])))
+        return false;
+    Map *start = findMap(spec, op.fds[0]);
+    if (!startMapOk(start))
+        return false;
+    out->fn = runDurationEnter;
+    out->shape = "duration_enter";
+    out->tgidCmp = sx(op.tgid[0]);
+    out->syscallCmp = sx(op.syscall[0]);
+    out->start = start;
+    return true;
+}
+
+bool
+matchDurationExit(const ProgramSpec &spec, const Operands &op,
+                  NativeProgram *out)
+{
+    if (op.tgid.size() != 1 || op.syscall.size() != 1 ||
+        op.fds.size() != 3 || op.shift < 0)
+        return false;
     for (bool g : {false, true}) {
         if (!sameInsns(spec.insns,
-                       probes::emit::tenantDeltaExit(
-                           ts, family, fds[0],
-                           static_cast<unsigned>(shift), g)))
+                       probes::emit::durationExit(
+                           static_cast<std::uint32_t>(op.tgid[0]),
+                           op.syscall[0], op.fds[0], op.fds[2],
+                           static_cast<unsigned>(op.shift), g)))
             continue;
-        Map *stats = findMap(spec, fds[0]);
-        if (!statsMapOk(stats))
+        Map *start = findMap(spec, op.fds[0]);
+        Map *stats = findMap(spec, op.fds[2]);
+        if (!startMapOk(start) || !statsMapOk(stats))
             return false;
-        out->fn = runTenantDeltaExit;
-        out->shape = "tenant_delta_exit";
-        out->shift = static_cast<unsigned>(shift);
+        out->fn = runDurationExit;
+        out->shape = "duration_exit";
+        out->tgidCmp = sx(op.tgid[0]);
+        out->syscallCmp = sx(op.syscall[0]);
+        out->shift = static_cast<unsigned>(op.shift);
         out->guarded = g;
+        out->start = start;
         out->stats = stats;
-        for (std::int32_t f : fam)
-            out->familyCmp.push_back(sx(f));
-        for (std::int32_t t : tgids)
-            out->tenantCmp.push_back(sx(t));
         return true;
     }
     return false;
 }
 
 bool
-matchTenantHeavyHitter(const ProgramSpec &spec, NativeProgram *out)
+matchDeltaExit(const ProgramSpec &spec, const Operands &op,
+               NativeProgram *out)
 {
-    const auto fam = jumpImms(spec.insns, kJeqK, R8);
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto fds = mapFds(spec.insns);
-    if (fam.empty() || tgids.empty() || fds.size() != 2)
+    if (op.family.empty() || op.tgid.size() != 1 || op.fds.size() != 1 ||
+        op.shift < 0)
         return false;
-    const std::vector<std::int64_t> family(fam.begin(), fam.end());
-    if (!sameInsns(spec.insns,
-                   probes::emit::tenantHeavyHitter(tenantSetFrom(tgids, {}),
-                                                   family, fds[0])))
+    const std::vector<std::int64_t> family(op.family.begin(),
+                                           op.family.end());
+    for (bool g : {false, true}) {
+        if (!sameInsns(spec.insns,
+                       probes::emit::deltaExit(
+                           static_cast<std::uint32_t>(op.tgid[0]), family,
+                           op.fds[0], static_cast<unsigned>(op.shift), g)))
+            continue;
+        Map *stats = findMap(spec, op.fds[0]);
+        if (!statsMapOk(stats))
+            return false;
+        out->fn = runDeltaExit;
+        out->shape = "delta_exit";
+        out->tgidCmp = sx(op.tgid[0]);
+        out->shift = static_cast<unsigned>(op.shift);
+        out->guarded = g;
+        out->stats = stats;
+        out->familyCmp = signExtended(op.family);
+        return true;
+    }
+    return false;
+}
+
+bool
+matchTenantDeltaExit(const ProgramSpec &spec, const Operands &op,
+                     NativeProgram *out)
+{
+    if (op.family.empty() || op.tenants.empty() || op.fds.size() != 1 ||
+        op.shift < 0)
         return false;
-    Map *sketch = findMap(spec, fds[0]);
-    if (!sketchMapOk(sketch))
+    const std::vector<std::int64_t> family(op.family.begin(),
+                                           op.family.end());
+    const probes::TenantSet ts = tenantSetFrom(op.tenants, {});
+    for (bool g : {false, true}) {
+        if (!sameInsns(spec.insns,
+                       probes::emit::tenantDeltaExit(
+                           ts, family, op.fds[0],
+                           static_cast<unsigned>(op.shift), g)))
+            continue;
+        Map *stats = findMap(spec, op.fds[0]);
+        if (!statsMapOk(stats))
+            return false;
+        out->fn = runTenantDeltaExit;
+        out->shape = "tenant_delta_exit";
+        out->shift = static_cast<unsigned>(op.shift);
+        out->guarded = g;
+        out->stats = stats;
+        out->familyCmp = signExtended(op.family);
+        out->tenantCmp = signExtended(op.tenants);
+        return true;
+    }
+    return false;
+}
+
+bool
+matchTenantHeavyHitter(const ProgramSpec &spec, const Operands &op,
+                       NativeProgram *out)
+{
+    if (op.family.empty() || op.tenants.empty() || op.fds.size() != 2)
+        return false;
+    const std::vector<std::int64_t> family(op.family.begin(),
+                                           op.family.end());
+    if (!sameInsns(spec.insns, probes::emit::tenantHeavyHitter(
+                                   tenantSetFrom(op.tenants, {}), family,
+                                   op.fds[0])))
+        return false;
+    Map *sketch = findMap(spec, op.fds[0]);
+    if (!countMapOk(sketch))
         return false;
     out->fn = runTenantHeavyHitter;
     out->shape = "tenant_heavy_hitter";
     out->sketch = sketch;
-    for (std::int32_t f : fam)
-        out->familyCmp.push_back(sx(f));
-    for (std::int32_t t : tgids)
-        out->tenantCmp.push_back(sx(t));
+    out->familyCmp = signExtended(op.family);
+    out->tenantCmp = signExtended(op.tenants);
     return true;
 }
 
 bool
-matchTenantDurationEnter(const ProgramSpec &spec, NativeProgram *out)
+matchTenantDurationEnter(const ProgramSpec &spec, const Operands &op,
+                         NativeProgram *out)
 {
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto polls = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    if (tgids.empty() || polls.size() != tgids.size() || fds.size() != 1)
+    if (op.tenants.empty() || op.syscall.size() != op.tenants.size() ||
+        op.fds.size() != 1)
         return false;
     if (!sameInsns(spec.insns,
                    probes::emit::tenantDurationEnter(
-                       tenantSetFrom(tgids, polls), fds[0])))
+                       tenantSetFrom(op.tenants, op.syscall), op.fds[0])))
         return false;
-    Map *start = findMap(spec, fds[0]);
+    Map *start = findMap(spec, op.fds[0]);
     if (!startMapOk(start))
         return false;
     out->fn = runTenantDurationEnter;
     out->shape = "tenant_duration_enter";
     out->start = start;
-    for (std::int32_t t : tgids)
-        out->tenantCmp.push_back(sx(t));
-    for (std::int32_t p : polls)
-        out->pollCmp.push_back(sx(p));
+    out->tenantCmp = signExtended(op.tenants);
+    out->pollCmp = signExtended(op.syscall);
     return true;
 }
 
 bool
-matchTenantDurationExit(const ProgramSpec &spec, NativeProgram *out)
+matchTenantDurationExit(const ProgramSpec &spec, const Operands &op,
+                        NativeProgram *out)
 {
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto polls = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (tgids.empty() || polls.size() != tgids.size() || fds.size() != 3 ||
-        shift < 0)
+    if (op.tenants.empty() || op.syscall.size() != op.tenants.size() ||
+        op.fds.size() != 3 || op.shift < 0)
         return false;
-    const probes::TenantSet ts = tenantSetFrom(tgids, polls);
+    const probes::TenantSet ts = tenantSetFrom(op.tenants, op.syscall);
     for (bool g : {false, true}) {
         if (!sameInsns(spec.insns,
                        probes::emit::tenantDurationExit(
-                           ts, fds[0], fds[2],
-                           static_cast<unsigned>(shift), g)))
+                           ts, op.fds[0], op.fds[2],
+                           static_cast<unsigned>(op.shift), g)))
             continue;
-        Map *start = findMap(spec, fds[0]);
-        Map *stats = findMap(spec, fds[2]);
+        Map *start = findMap(spec, op.fds[0]);
+        Map *stats = findMap(spec, op.fds[2]);
         if (!startMapOk(start) || !statsMapOk(stats))
             return false;
         out->fn = runTenantDurationExit;
         out->shape = "tenant_duration_exit";
-        out->shift = static_cast<unsigned>(shift);
+        out->shift = static_cast<unsigned>(op.shift);
         out->guarded = g;
         out->start = start;
         out->stats = stats;
-        for (std::int32_t t : tgids)
-            out->tenantCmp.push_back(sx(t));
-        for (std::int32_t p : polls)
-            out->pollCmp.push_back(sx(p));
+        out->tenantCmp = signExtended(op.tenants);
+        out->pollCmp = signExtended(op.syscall);
         return true;
     }
     return false;
 }
 
 bool
-matchStream(const ProgramSpec &spec, NativeProgram *out, bool exit_point)
+matchStream(const ProgramSpec &spec, const Operands &op, NativeProgram *out)
 {
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto fds = mapFds(spec.insns);
-    if (tg.size() != 1 || fds.size() != 1)
+    if (op.tgid.size() != 1 || op.fds.size() != 1)
         return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::streamProbe(
-                       static_cast<std::uint32_t>(tg[0]), exit_point,
-                       fds[0])))
-        return false;
-    Map *ring = findMap(spec, fds[0]);
-    if (!ring || ring->type() != MapType::RingBuf)
-        return false;
-    out->fn = runStream;
-    out->shape = exit_point ? "stream_exit" : "stream_enter";
-    out->tgidCmp = sx(tg[0]);
-    out->exitPoint = exit_point;
-    out->ring = static_cast<RingBufMap *>(ring);
-    return true;
+    for (bool exit_point : {false, true}) {
+        if (!sameInsns(spec.insns,
+                       probes::emit::streamProbe(
+                           static_cast<std::uint32_t>(op.tgid[0]),
+                           exit_point, op.fds[0])))
+            continue;
+        Map *ring = findMap(spec, op.fds[0]);
+        if (!ring || ring->type() != MapType::RingBuf)
+            return false;
+        out->fn = runStream;
+        out->shape = exit_point ? "stream_exit" : "stream_enter";
+        out->tgidCmp = sx(op.tgid[0]);
+        out->exitPoint = exit_point;
+        out->ring = static_cast<RingBufMap *>(ring);
+        return true;
+    }
+    return false;
 }
 
 bool
-matchRunqlatWakeup(const ProgramSpec &spec, NativeProgram *out)
+matchIdStamp(const ProgramSpec &spec, const Operands &op, NativeProgram *out)
 {
-    const auto fds = mapFds(spec.insns);
-    if (fds.size() != 1)
+    if (op.fds.size() != 1)
         return false;
-    if (!sameInsns(spec.insns, probes::emit::runqlatWakeup(fds[0])))
+    if (!sameInsns(spec.insns, probes::emit::runqlatWakeup(op.fds[0])))
         return false;
-    Map *stamp = findMap(spec, fds[0]);
+    Map *stamp = findMap(spec, op.fds[0]);
     if (!startMapOk(stamp))
         return false;
-    out->fn = runRunqlatWakeup;
-    out->shape = "runqlat_wakeup";
+    out->fn = runIdStamp;
+    out->shape = "id_stamp";
     out->start = stamp;
     return true;
 }
 
 bool
-matchRunqlatSwitch(const ProgramSpec &spec, NativeProgram *out)
+matchRunqlatSwitch(const ProgramSpec &spec, const Operands &op,
+                   NativeProgram *out)
 {
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (tgids.empty() || fds.size() != 4 || shift < 0)
-        return false;
     // Stream order: prev re-stamp, lookup, delete (all the stamp map),
     // then the histogram.
-    if (fds[0] != fds[1] || fds[0] != fds[2])
+    if (op.tenants.empty() || op.fds.size() != 4 || op.shift < 0 ||
+        op.fds[0] != op.fds[1] || op.fds[0] != op.fds[2])
         return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::runqlatSwitch(
-                       tenantSetFrom(tgids, {}), fds[0], fds[3],
-                       static_cast<unsigned>(shift))))
+    if (!sameInsns(spec.insns, probes::emit::runqlatSwitch(
+                                   tenantSetFrom(op.tenants, {}), op.fds[0],
+                                   op.fds[3],
+                                   static_cast<unsigned>(op.shift))))
         return false;
-    Map *stamp = findMap(spec, fds[0]);
-    Map *hist = findMap(spec, fds[3]);
-    if (!startMapOk(stamp) || !histMapOk(hist))
+    Map *stamp = findMap(spec, op.fds[0]);
+    Map *hist = findMap(spec, op.fds[3]);
+    if (!startMapOk(stamp) || !countMapOk(hist))
         return false;
     out->fn = runRunqlatSwitch;
     out->shape = "runqlat_switch";
-    out->shift = static_cast<unsigned>(shift);
+    out->shift = static_cast<unsigned>(op.shift);
     out->start = stamp;
     out->hist = hist;
-    for (std::int32_t t : tgids)
-        out->tenantCmp.push_back(sx(t));
+    out->tenantCmp = signExtended(op.tenants);
     return true;
 }
+
+bool
+matchFrontDoorAccept(const ProgramSpec &spec, const Operands &op,
+                     NativeProgram *out)
+{
+    // Stream order: lookup, delete (both the ingress map), histogram.
+    if (op.tenants.empty() || op.fds.size() != 3 || op.shift < 0 ||
+        op.fds[0] != op.fds[1])
+        return false;
+    if (!sameInsns(spec.insns, probes::emit::frontDoorAccept(
+                                   tenantSetFrom(op.tenants, {}), op.fds[0],
+                                   op.fds[2],
+                                   static_cast<unsigned>(op.shift))))
+        return false;
+    Map *stamp = findMap(spec, op.fds[0]);
+    Map *hist = findMap(spec, op.fds[2]);
+    if (!startMapOk(stamp) || !countMapOk(hist))
+        return false;
+    out->fn = runFrontDoorAccept;
+    out->shape = "front_door_accept";
+    out->shift = static_cast<unsigned>(op.shift);
+    out->start = stamp;
+    out->hist = hist;
+    out->tenantCmp = signExtended(op.tenants);
+    return true;
+}
+
+using Recogniser = bool (*)(const ProgramSpec &, const Operands &,
+                            NativeProgram *);
+
+constexpr Recogniser kRecognisers[] = {
+    matchDurationEnter,     matchDurationExit,
+    matchDeltaExit,         matchTenantDeltaExit,
+    matchTenantHeavyHitter, matchTenantDurationEnter,
+    matchTenantDurationExit, matchStream,
+    matchIdStamp,           matchRunqlatSwitch,
+    matchFrontDoorAccept,
+};
 
 } // namespace
 
 bool
 compileNative(const ProgramSpec &spec, NativeProgram *out)
 {
-    *out = NativeProgram{};
-    // The name is only a prefilter picking which recogniser to try; the
-    // byte-exact re-emission check is the authority.
-    bool ok = false;
-    if (spec.name == "duration_enter")
-        ok = matchDurationEnter(spec, out);
-    else if (spec.name == "duration_exit")
-        ok = matchDurationExit(spec, out);
-    else if (spec.name == "delta_exit")
-        ok = matchDeltaExit(spec, out);
-    else if (spec.name == "tenant_delta_exit")
-        ok = matchTenantDeltaExit(spec, out);
-    else if (spec.name == "tenant_heavy_hitter")
-        ok = matchTenantHeavyHitter(spec, out);
-    else if (spec.name == "tenant_duration_enter")
-        ok = matchTenantDurationEnter(spec, out);
-    else if (spec.name == "tenant_duration_exit")
-        ok = matchTenantDurationExit(spec, out);
-    else if (spec.name == "stream_enter")
-        ok = matchStream(spec, out, false);
-    else if (spec.name == "stream_exit")
-        ok = matchStream(spec, out, true);
-    else if (spec.name == "runqlat_wakeup")
-        ok = matchRunqlatWakeup(spec, out);
-    else if (spec.name == "runqlat_switch")
-        ok = matchRunqlatSwitch(spec, out);
-    if (!ok)
+    // Every recogniser gets a try; only a byte-exact re-emission
+    // accepts, so any match is a kernel for exactly these bytes.
+    const Operands op(spec.insns);
+    for (Recogniser match : kRecognisers) {
         *out = NativeProgram{};
-    return ok;
+        if (match(spec, op, out))
+            return true;
+    }
+    *out = NativeProgram{};
+    return false;
 }
 
 } // namespace reqobs::ebpf

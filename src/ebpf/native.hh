@@ -6,14 +6,16 @@
  * a fused direct-threaded IR and still pays one indirect dispatch per
  * instruction, the native engine compiles a probe to a directly
  * callable, shape-specialised C++ kernel — zero dispatch, the whole
- * program is one function call. Compilation is recognition: the
- * compiler extracts candidate parameters (tgids, syscall ids, map fds,
- * shift, guard flags) from the bytecode, re-emits the probe through the
- * same probes::emit function the library builders use, and accepts the
- * program only if the re-emission is byte-identical. A program
- * therefore gets a native kernel if and only if it is literally a
- * library probe; everything else (fuzzed programs, hand-written
- * bytecode) falls back to the translated engine.
+ * program is one function call. Compilation is recognition from the
+ * bytecode alone: the compiler extracts candidate parameters (tgids,
+ * syscall ids, map fds, shift) from the instruction stream, and each
+ * recogniser in turn re-emits its probe shape (every guard variant)
+ * through the same probes::emit function the library builders use,
+ * accepting only a byte-identical re-emission. The program's name plays
+ * no part, so renamed probes compile too. A program therefore gets a
+ * native kernel if and only if it is literally a library probe;
+ * everything else (fuzzed programs, DSL tracelets, hand-written
+ * bytecode) runs on the translated engine.
  *
  * The kernels preserve the interpreter contract exactly: same r0, same
  * retired-instruction counts on every control-flow path (the cost model
@@ -78,23 +80,6 @@ struct NativeProgram
     std::vector<std::uint64_t> tenantCmp;
     /** Sign-extended per-tenant poll-syscall immediates. */
     std::vector<std::uint64_t> pollCmp;
-
-    /** Maps (and the ring buffer) this program reads or writes. */
-    std::vector<const void *> stateRefs() const
-    {
-        std::vector<const void *> refs;
-        if (start)
-            refs.push_back(start);
-        if (stats)
-            refs.push_back(stats);
-        if (sketch)
-            refs.push_back(sketch);
-        if (hist)
-            refs.push_back(hist);
-        if (ring)
-            refs.push_back(ring);
-        return refs;
-    }
 };
 
 /**

@@ -1,34 +1,11 @@
 #include "ebpf/runtime.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "ebpf/helpers.hh"
 #include "sim/logging.hh"
 
 namespace reqobs::ebpf {
-
-ExecEngine
-defaultExecEngine()
-{
-    static const ExecEngine cached = [] {
-        const char *env = std::getenv("REQOBS_ENGINE");
-        if (!env || !*env)
-            return ExecEngine::Translated;
-        const std::string v(env);
-        if (v == "reference")
-            return ExecEngine::Reference;
-        if (v == "translated")
-            return ExecEngine::Translated;
-        if (v == "native")
-            return ExecEngine::Native;
-        sim::warn("REQOBS_ENGINE='%s' unknown "
-                  "(reference|translated|native); using translated",
-                  env);
-        return ExecEngine::Translated;
-    }();
-    return cached;
-}
 
 EbpfRuntime::EbpfRuntime(kernel::Kernel &kernel, const RuntimeConfig &config)
     : kernel_(kernel), config_(config), rng_(kernel.sim().forkRng())
@@ -231,49 +208,15 @@ EbpfRuntime::loadAndAttach(ProgramSpec spec, kernel::TracepointId point,
     if (!translate(loaded->spec, vr.maxStackDepth, &loaded->xprog, &xerr))
         sim::panic("eBPF program '%s': %s", loaded->spec.name.c_str(),
                    xerr.c_str());
-    // Native compile is cheap (bytecode recognition), so always attempt
-    // it; the engine config decides per event whether the kernel runs.
-    compileNative(loaded->spec, &loaded->nprog);
-    for (const Insn &in : loaded->spec.insns) {
-        if (in.opcode == (BPF_JMP | BPF_CALL) &&
-            in.imm == helper::kGetPrandomU32) {
-            loaded->usesRng = true;
-            break;
-        }
-    }
-    // State identities for the batch planner: the maps (and ring
-    // buffers) this program touches, plus the runtime RNG if it draws
-    // randomness. Probes on one tracepoint sharing any of these run
-    // event-major.
-    std::vector<const void *> refs;
-    if (loaded->nprog.fn) {
-        refs = loaded->nprog.stateRefs();
-    } else {
-        for (std::size_t i = 0; i + 1 < loaded->spec.insns.size(); ++i) {
-            const Insn &in = loaded->spec.insns[i];
-            if (in.cls() == BPF_LD && in.memSize() == BPF_DW &&
-                in.src == BPF_PSEUDO_MAP_FD) {
-                auto it = loaded->spec.maps.find(in.imm);
-                if (it != loaded->spec.maps.end())
-                    refs.push_back(it->second);
-            }
-        }
-    }
-    if (loaded->usesRng)
-        refs.push_back(&rng_);
+    // Recognition only matters when the kernel will run: the other
+    // engines execute the VM for every program.
+    if (config_.engine == ExecEngine::Native)
+        compileNative(loaded->spec, &loaded->nprog);
     Loaded *raw = loaded.get();
     loaded->handle = kernel_.tracepoints().attach(
-        point,
-        [this, raw](const kernel::RawSyscallEvent &ev) {
+        point, [this, raw](const kernel::RawSyscallEvent &ev) {
             return execute(*raw, ev);
-        },
-        [this, raw](const kernel::RawSyscallBatch &batch) {
-            return executeBatch(*raw, batch);
-        },
-        // Fault injection draws RNG numbers per event in probe order;
-        // probe-major bursts would reorder the draws, so batching is
-        // only ready while no injector is installed.
-        [this] { return fault_ == nullptr; }, std::move(refs));
+        });
     if (id)
         *id = loaded->id;
     programs_.push_back(std::move(loaded));
@@ -375,7 +318,7 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
     env.fault = fault_;
 
     std::uint64_t insns;
-    if (config_.engine == ExecEngine::Native && prog.nprog.fn) {
+    if (prog.nprog.fn) {
         // Directly callable kernel: no dispatch, no abort path (the
         // recogniser only accepts library probes, which cannot fault).
         NativeResult nr;
@@ -387,8 +330,9 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
         nativeInsns_ += nr.insns;
         insns = nr.insns;
     } else {
-        // Native engine with an unrecognised program falls back to the
-        // translated form — same results, only slower.
+        // Programs without a native kernel run the translated form
+        // (the reference decoder under the oracle engine) — same
+        // results, only slower.
         RunResult r =
             config_.engine == ExecEngine::Reference
                 ? vm_.run(prog.spec, reinterpret_cast<std::uint8_t *>(&ctx),
@@ -410,81 +354,6 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
 
     const sim::Tick cost =
         config_.baseProbeCost +
-        config_.perInsnCost * static_cast<sim::Tick>(insns);
-    totalCost_ += cost;
-    return cost;
-}
-
-sim::Tick
-EbpfRuntime::executeBatch(Loaded &prog, const kernel::RawSyscallBatch &batch)
-{
-    // The registry only calls this when the attach-time batchReady
-    // predicate holds, i.e. no fault injector is installed: no missed
-    // runs and no helper-fault draws, so the whole burst runs the
-    // program back to back with hoisted per-event setup.
-    events_ += batch.n;
-    prog.events += batch.n;
-
-    TraceCtx ctx;
-    ExecEnv env;
-    env.rng = &rng_;
-    env.fault = nullptr;
-
-    const std::uint32_t cpus = config_.batchCpus;
-    std::uint64_t insns = 0;
-    std::uint64_t updateFails = 0;
-    std::uint64_t drops = 0;
-
-    if (config_.engine == ExecEngine::Native && prog.nprog.fn) {
-        NativeResult nr;
-        for (std::size_t i = 0; i < batch.n; ++i) {
-            ctx.id = static_cast<std::uint64_t>(batch.syscalls[i]);
-            ctx.pidTgid = batch.pidTgids[i];
-            ctx.ts = static_cast<std::uint64_t>(batch.timestamps[i]);
-            ctx.ret = batch.rets ? batch.rets[i] : 0;
-            env.nowNs = ctx.ts;
-            env.pidTgid = ctx.pidTgid;
-            env.cpu = cpus > 1 ? static_cast<std::uint32_t>(i % cpus) : 0;
-            prog.nprog.fn(prog.nprog, ctx, env, nr);
-        }
-        insns = nr.insns;
-        updateFails = nr.mapUpdateFails;
-        drops = nr.ringbufDrops;
-        nativeInsns_ += nr.insns;
-    } else {
-        for (std::size_t i = 0; i < batch.n; ++i) {
-            ctx.id = static_cast<std::uint64_t>(batch.syscalls[i]);
-            ctx.pidTgid = batch.pidTgids[i];
-            ctx.ts = static_cast<std::uint64_t>(batch.timestamps[i]);
-            ctx.ret = batch.rets ? batch.rets[i] : 0;
-            env.nowNs = ctx.ts;
-            env.pidTgid = ctx.pidTgid;
-            env.cpu = cpus > 1 ? static_cast<std::uint32_t>(i % cpus) : 0;
-            RunResult r =
-                config_.engine == ExecEngine::Reference
-                    ? vm_.run(prog.spec,
-                              reinterpret_cast<std::uint8_t *>(&ctx),
-                              sizeof(ctx), env)
-                    : vm_.run(prog.xprog,
-                              reinterpret_cast<std::uint8_t *>(&ctx),
-                              sizeof(ctx), env);
-            if (r.aborted) {
-                sim::panic("eBPF program '%s' faulted at runtime: %s",
-                           prog.spec.name.c_str(), r.error.c_str());
-            }
-            insns += r.insns;
-            updateFails += r.mapUpdateFails;
-            drops += r.ringbufDrops;
-        }
-    }
-
-    prog.mapUpdateFails += updateFails;
-    prog.ringbufDrops += drops;
-    mapUpdateFails_ += updateFails;
-    ringbufDrops_ += drops;
-
-    const sim::Tick cost =
-        config_.baseProbeCost * static_cast<sim::Tick>(batch.n) +
         config_.perInsnCost * static_cast<sim::Tick>(insns);
     totalCost_ += cost;
     return cost;

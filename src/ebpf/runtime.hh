@@ -34,14 +34,16 @@
 namespace reqobs::ebpf {
 
 /**
- * Execution-engine selection. Translated is the default (the simulator
- * analogue of the kernel JIT-compiling eBPF, see §VI of the paper):
- * programs are pre-decoded once at attach time. Reference re-decodes
- * every instruction per event and serves as the semantic oracle.
- * Native compiles recognised library probes to directly callable
- * shape-specialised kernels (native.hh) and silently falls back to
- * Translated for anything else. Results are identical across all three
- * (tests/ebpf_diff_test.cc asserts the agreement bit-for-bit).
+ * Execution-engine selection. Native is the default: a program whose
+ * bytecode is literally a library probe runs its compiled
+ * shape-specialised kernel (native.hh), and every other program runs
+ * on the translation cache (the simulator analogue of the kernel
+ * JIT-compiling eBPF, see §VI of the paper), pre-decoded once at
+ * attach time. Translated forces the translation cache for every
+ * program; Reference re-decodes every instruction per event and serves
+ * as the semantic oracle. Results are identical across all three
+ * (tests/ebpf_diff_test.cc and tests/engine_test.cc assert the
+ * agreement bit-for-bit).
  */
 enum class ExecEngine
 {
@@ -50,13 +52,12 @@ enum class ExecEngine
     Native,
 };
 
-/**
- * Process-wide default engine: REQOBS_ENGINE=reference|translated|
- * native, cached on first use; Translated (with a warning on unknown
- * values) otherwise. Explicit RuntimeConfig::engine assignments
- * override it.
- */
-ExecEngine defaultExecEngine();
+/** The engine a default-constructed RuntimeConfig selects. */
+inline ExecEngine
+defaultExecEngine()
+{
+    return ExecEngine::Native;
+}
 
 /** Cost model for in-kernel probe execution. */
 struct RuntimeConfig
@@ -69,14 +70,6 @@ struct RuntimeConfig
     VerifierLimits limits;
     /** Host-side execution engine; results are identical either way. */
     ExecEngine engine = defaultExecEngine();
-    /**
-     * Simulated CPUs the batched pipeline stripes events across: lane i
-     * of a burst runs with env.cpu = i % batchCpus, selecting per-CPU
-     * map shards. 1 (default) keeps batched execution bit-identical to
-     * scalar dispatch (which always runs on CPU 0); only the per-CPU
-     * ablation in bench_scale raises it.
-     */
-    std::uint32_t batchCpus = 1;
 };
 
 /** Loaded-program id. */
@@ -179,7 +172,8 @@ class EbpfRuntime
 
     std::size_t loadedPrograms() const { return programs_.size(); }
 
-    /** Loaded programs that compiled to a native kernel. */
+    /** Loaded programs that run a native kernel (0 unless the engine is
+     *  Native). */
     std::size_t nativePrograms() const;
 
     /** @name Execution statistics. @{ */
@@ -241,10 +235,9 @@ class EbpfRuntime
         ProgramSpec spec;
         /** Attach-time pre-decoded form (translation cache). */
         TranslatedProgram xprog;
-        /** Attach-time native compile (nprog.fn null: fall back). */
+        /** Attach-time native compile; nprog.fn null (no library match,
+         *  or a non-Native engine) runs the VM instead. */
         NativeProgram nprog;
-        /** Program calls bpf_get_prandom_u32 (shares the runtime RNG). */
-        bool usesRng = false;
         kernel::TracepointId point;
         kernel::ProbeHandle handle;
         std::uint64_t events = 0;
@@ -270,7 +263,6 @@ class EbpfRuntime
     fault::FaultInjector *fault_ = nullptr;
 
     sim::Tick execute(Loaded &prog, const kernel::RawSyscallEvent &ev);
-    sim::Tick executeBatch(Loaded &prog, const kernel::RawSyscallBatch &batch);
 };
 
 } // namespace reqobs::ebpf

@@ -350,6 +350,9 @@ TEST(FrontDoorProbeEngines, HistogramsAgreeBitForBit)
     DoorProbeStack xlt(ebpf::ExecEngine::Translated);
     DoorProbeStack nat(ebpf::ExecEngine::Native);
     DoorProbeStack *stacks[] = {&ref, &xlt, &nat};
+    // Both front-door programs must run native kernels — a silent
+    // fallback would make this test vacuous for the native engine.
+    EXPECT_EQ(nat.rt->nativePrograms(), nat.rt->loadedPrograms());
 
     std::uint64_t ts = 1000;
     for (std::uint64_t i = 0; i < 5000; ++i) {

@@ -1,16 +1,16 @@
 /**
  * @file
- * The batched event pipeline and its supporting cast: fireBatch versus
- * per-event dispatch must be observationally identical under every
- * engine (including the event-major fallback when probes share state),
- * the native compiler must cover the whole probe library, per-CPU array
- * shards must fold to the unsharded totals, and the persistent worker
- * pool must return bit-identical experiment results across reuse.
+ * Host-speed machinery: the native compiler must cover the whole probe
+ * library by bytecode alone (and run only under the Native engine),
+ * per-CPU array shards must fold to the unsharded totals, the persistent
+ * worker pool must return bit-identical experiment results across
+ * reuse, and the parallel cluster engine must be deterministic.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,258 +30,96 @@
 namespace reqobs {
 namespace {
 
-using kernel::RawSyscallBatch;
 using kernel::RawSyscallEvent;
 using kernel::TracepointId;
 
-constexpr std::int64_t kSendto = 44;
 constexpr std::int64_t kEpollWait = 232;
-
-/** A kernel + runtime with the tenant probe set attached. */
-struct Rig
-{
-    sim::Simulation sim{1};
-    std::unique_ptr<kernel::Kernel> kernel;
-    std::unique_ptr<ebpf::EbpfRuntime> rt;
-    ebpf::probes::DurationMaps dur;
-    ebpf::probes::DeltaMaps delta;
-    int sketchFd = -1;
-
-    explicit Rig(ebpf::ExecEngine engine, bool shared_stats = false)
-    {
-        kernel = std::make_unique<kernel::Kernel>(sim);
-        ebpf::RuntimeConfig rc;
-        rc.engine = engine;
-        rt = std::make_unique<ebpf::EbpfRuntime>(*kernel, rc);
-        ebpf::probes::TenantSet ts;
-        ts.tgids = {1000, 2000};
-        ts.pollSyscalls = {kEpollWait, kEpollWait};
-        dur = ebpf::probes::createTenantDurationMaps(*rt, 2, "scale.dur");
-        delta = ebpf::probes::createTenantDeltaMaps(*rt, 2, "scale.delta");
-        sketchFd = ebpf::probes::createTenantSketchMap(*rt, 2, 4, "scale");
-        auto v1 = rt->loadAndAttach(
-            ebpf::probes::buildTenantDurationEnter(*rt, ts, dur),
-            TracepointId::SysEnter);
-        auto v2 = rt->loadAndAttach(
-            ebpf::probes::buildTenantDurationExit(*rt, ts, dur),
-            TracepointId::SysExit);
-        auto v3 = rt->loadAndAttach(
-            ebpf::probes::buildTenantDeltaExit(*rt, ts, {kSendto}, delta),
-            TracepointId::SysExit);
-        // shared_stats attaches a second probe writing the SAME stats
-        // array: overlapping stateRefs force the event-major fallback.
-        auto v4 = shared_stats
-                      ? rt->loadAndAttach(ebpf::probes::buildTenantDeltaExit(
-                                              *rt, ts, {kEpollWait}, delta),
-                                          TracepointId::SysExit)
-                      : rt->loadAndAttach(
-                            ebpf::probes::buildTenantHeavyHitter(
-                                *rt, ts, {kSendto}, sketchFd),
-                            TracepointId::SysExit);
-        EXPECT_TRUE(v1.ok && v2.ok && v3.ok && v4.ok);
-    }
-};
-
-/** The deterministic event columns both dispatch paths consume. */
-struct Columns
-{
-    std::vector<std::int64_t> sys, rets;
-    std::vector<kernel::PidTgid> pids;
-    std::vector<sim::Tick> enterTs, exitTs;
-};
-
-Columns
-makeColumns(std::size_t n)
-{
-    Columns c;
-    for (std::size_t i = 0; i < n; ++i) {
-        c.sys.push_back(i % 3 == 0 ? kEpollWait
-                                   : (i % 3 == 1 ? kSendto : 7));
-        c.pids.push_back(kernel::makePidTgid(
-            i % 4 == 3 ? 9999 : (i % 2 ? 1000 : 2000),
-            1 + static_cast<std::uint32_t>(i % 5)));
-        c.rets.push_back(i % 6 == 0 ? -11 : 64);
-        c.enterTs.push_back(1000 + static_cast<sim::Tick>(i) * 300);
-        c.exitTs.push_back(1000 + static_cast<sim::Tick>(n + i) * 300);
-    }
-    return c;
-}
-
-void
-fireScalar(Rig &r, const Columns &c)
-{
-    RawSyscallEvent ev;
-    ev.point = TracepointId::SysEnter;
-    for (std::size_t i = 0; i < c.sys.size(); ++i) {
-        ev.syscall = c.sys[i];
-        ev.pidTgid = c.pids[i];
-        ev.timestamp = c.enterTs[i];
-        r.kernel->tracepoints().fire(ev);
-    }
-    ev.point = TracepointId::SysExit;
-    for (std::size_t i = 0; i < c.sys.size(); ++i) {
-        ev.syscall = c.sys[i];
-        ev.ret = c.rets[i];
-        ev.pidTgid = c.pids[i];
-        ev.timestamp = c.exitTs[i];
-        r.kernel->tracepoints().fire(ev);
-    }
-}
-
-void
-fireBatched(Rig &r, const Columns &c)
-{
-    RawSyscallBatch en;
-    en.point = TracepointId::SysEnter;
-    en.n = c.sys.size();
-    en.syscalls = c.sys.data();
-    en.pidTgids = c.pids.data();
-    en.timestamps = c.enterTs.data();
-    RawSyscallBatch ex = en;
-    ex.point = TracepointId::SysExit;
-    ex.rets = c.rets.data();
-    ex.timestamps = c.exitTs.data();
-    r.kernel->dispatchRawBatch(en);
-    r.kernel->dispatchRawBatch(ex);
-}
-
-void
-expectRigsEqual(const Rig &a, const Rig &b)
-{
-    EXPECT_EQ(a.rt->eventsProcessed(), b.rt->eventsProcessed());
-    EXPECT_EQ(a.rt->insnsInterpreted(), b.rt->insnsInterpreted());
-    EXPECT_EQ(a.rt->totalProbeCost(), b.rt->totalProbeCost());
-    EXPECT_EQ(a.rt->mapUpdateFails(), b.rt->mapUpdateFails());
-    for (std::uint32_t slot = 0; slot < 2; ++slot) {
-        const auto sa = a.rt->arrayAt(a.dur.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        const auto sb = b.rt->arrayAt(b.dur.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        EXPECT_EQ(0, std::memcmp(&sa, &sb, sizeof(sa))) << slot;
-        const auto da = a.rt->arrayAt(a.delta.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        const auto db = b.rt->arrayAt(b.delta.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        EXPECT_EQ(0, std::memcmp(&da, &db, sizeof(da))) << slot;
-    }
-    EXPECT_EQ(a.rt->sketchAt(a.sketchFd).topK(4),
-              b.rt->sketchAt(b.sketchFd).topK(4));
-}
-
-class BatchPipeline : public ::testing::TestWithParam<ebpf::ExecEngine>
-{};
-
-TEST_P(BatchPipeline, BatchDispatchMatchesScalarDispatch)
-{
-    Rig scalar(GetParam()), batched(GetParam());
-    const Columns c = makeColumns(512);
-    fireScalar(scalar, c);
-    fireBatched(batched, c);
-    EXPECT_GT(batched.rt->eventsProcessed(), 0u);
-    expectRigsEqual(scalar, batched);
-}
-
-TEST_P(BatchPipeline, SharedStateFallsBackToEventMajorAndStillMatches)
-{
-    // Two probes on the same stats array: probe-major execution would
-    // reorder their interleaving, so fireBatch must detect the overlap
-    // and run event-major. Outputs still match scalar exactly.
-    Rig scalar(GetParam(), /*shared_stats=*/true);
-    Rig batched(GetParam(), /*shared_stats=*/true);
-    const Columns c = makeColumns(512);
-    fireScalar(scalar, c);
-    fireBatched(batched, c);
-    expectRigsEqual(scalar, batched);
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, BatchPipeline,
-                         ::testing::Values(ebpf::ExecEngine::Reference,
-                                           ebpf::ExecEngine::Translated,
-                                           ebpf::ExecEngine::Native));
-
-TEST(BatchPipeline, AttachBetweenBatchesInvalidatesThePlan)
-{
-    Rig r(ebpf::ExecEngine::Native);
-    const Columns c = makeColumns(64);
-    fireBatched(r, c);
-    const std::uint64_t events_before = r.rt->eventsProcessed();
-
-    // A probe attached after the first burst must see the next one.
-    ebpf::probes::DurationMaps extra =
-        ebpf::probes::createDurationMaps(*r.rt, "late");
-    const auto vr = r.rt->loadAndAttach(
-        ebpf::probes::buildDurationEnter(*r.rt, 1000, kEpollWait, extra),
-        TracepointId::SysEnter);
-    ASSERT_TRUE(vr.ok);
-    fireBatched(r, c);
-    const std::uint64_t per_burst = events_before;
-    EXPECT_EQ(r.rt->eventsProcessed(), events_before + per_burst + 64);
-}
-
-TEST(BatchPipeline, BatchAccountingMatchesScalarKernelCounters)
-{
-    Rig r(ebpf::ExecEngine::Native);
-    const Columns c = makeColumns(128);
-    fireBatched(r, c);
-    // dispatchRawBatch does the same per-syscall accounting fireEnter
-    // does: total count and the per-tgid breakdown.
-    EXPECT_EQ(r.kernel->syscallCount(), 128u);
-    std::uint64_t by_tgid = 0;
-    for (const auto &[tgid, n] : r.kernel->syscallsByTgid())
-        by_tgid += n;
-    EXPECT_EQ(by_tgid, 128u);
-}
 
 TEST(NativeEngine, CompilesTheEntireProbeLibrary)
 {
-    sim::Simulation sim(1);
-    kernel::Kernel kernel(sim);
-    ebpf::RuntimeConfig rc;
-    rc.engine = ebpf::ExecEngine::Native;
-    ebpf::EbpfRuntime rt(kernel, rc);
-    ebpf::probes::TenantSet ts;
-    ts.tgids = {1000, 2000, 3000};
-    ts.pollSyscalls = {kEpollWait, kEpollWait, 7};
-    const auto dur = ebpf::probes::createDurationMaps(rt, "lib");
-    const auto durT = ebpf::probes::createTenantDurationMaps(rt, 3, "libt");
-    const auto delta = ebpf::probes::createDeltaMaps(rt, "lib");
-    const auto deltaT = ebpf::probes::createTenantDeltaMaps(rt, 3, "libtd");
-    const auto stream = ebpf::probes::createStreamMaps(rt, 1 << 12, "lib");
-    const int sketch = ebpf::probes::createTenantSketchMap(rt, 2, 8, "lib");
+    // Every library shape compiles from its bytecode alone (names are
+    // scrubbed), but only the Native engine runs the kernels: the
+    // forced Translated and Reference engines report none.
+    for (const ebpf::ExecEngine engine :
+         {ebpf::ExecEngine::Native, ebpf::ExecEngine::Translated,
+          ebpf::ExecEngine::Reference}) {
+        sim::Simulation sim(1);
+        kernel::Kernel kernel(sim);
+        ebpf::RuntimeConfig rc;
+        rc.engine = engine;
+        ebpf::EbpfRuntime rt(kernel, rc);
+        ebpf::probes::TenantSet ts;
+        ts.tgids = {1000, 2000, 3000};
+        ts.pollSyscalls = {kEpollWait, kEpollWait, 7};
+        const auto dur = ebpf::probes::createDurationMaps(rt, "lib");
+        const auto durT =
+            ebpf::probes::createTenantDurationMaps(rt, 3, "libt");
+        const auto delta = ebpf::probes::createDeltaMaps(rt, "lib");
+        const auto deltaT =
+            ebpf::probes::createTenantDeltaMaps(rt, 3, "libtd");
+        const auto stream =
+            ebpf::probes::createStreamMaps(rt, 1 << 12, "lib");
+        const int sketch =
+            ebpf::probes::createTenantSketchMap(rt, 2, 8, "lib");
+        const auto runq = ebpf::probes::createRunqlatMaps(rt, 3, "lib");
+        const auto door = ebpf::probes::createFrontDoorMaps(rt, 3, "lib");
 
-    std::vector<ebpf::ProgramSpec> lib;
-    lib.push_back(ebpf::probes::buildDurationEnter(rt, 1000, 232, dur));
-    lib.push_back(ebpf::probes::buildDurationExit(rt, 1000, 232, dur));
-    lib.push_back(ebpf::probes::buildDurationExit(
-        rt, 1000, 232, dur, ebpf::probes::kDeltaShift, true));
-    lib.push_back(ebpf::probes::buildDeltaExit(rt, 1000, {44, 45}, delta));
-    lib.push_back(ebpf::probes::buildDeltaExit(
-        rt, 1000, {44, 45}, delta, ebpf::probes::kDeltaShift, true));
-    lib.push_back(
-        ebpf::probes::buildTenantDeltaExit(rt, ts, {44, 45}, deltaT));
-    lib.push_back(ebpf::probes::buildTenantDeltaExit(
-        rt, ts, {44}, deltaT, ebpf::probes::kDeltaShift, true));
-    lib.push_back(ebpf::probes::buildTenantDurationEnter(rt, ts, durT));
-    lib.push_back(ebpf::probes::buildTenantDurationExit(rt, ts, durT));
-    lib.push_back(ebpf::probes::buildTenantDurationExit(
-        rt, ts, durT, ebpf::probes::kDeltaShift, true));
-    lib.push_back(
-        ebpf::probes::buildTenantHeavyHitter(rt, ts, {44, 45}, sketch));
-    lib.push_back(ebpf::probes::buildStreamProbe(rt, 1000, false, stream));
-    lib.push_back(ebpf::probes::buildStreamProbe(rt, 1000, true, stream));
+        using ebpf::probes::kDeltaShift;
+        const std::pair<ebpf::ProgramSpec, TracepointId> lib[] = {
+            {ebpf::probes::buildDurationEnter(rt, 1000, 232, dur),
+             TracepointId::SysEnter},
+            {ebpf::probes::buildDurationExit(rt, 1000, 232, dur),
+             TracepointId::SysExit},
+            {ebpf::probes::buildDurationExit(rt, 1000, 232, dur,
+                                             kDeltaShift, true),
+             TracepointId::SysExit},
+            {ebpf::probes::buildDeltaExit(rt, 1000, {44, 45}, delta),
+             TracepointId::SysExit},
+            {ebpf::probes::buildDeltaExit(rt, 1000, {44, 45}, delta,
+                                          kDeltaShift, true),
+             TracepointId::SysExit},
+            {ebpf::probes::buildTenantDeltaExit(rt, ts, {44, 45}, deltaT),
+             TracepointId::SysExit},
+            {ebpf::probes::buildTenantDeltaExit(rt, ts, {44}, deltaT,
+                                                kDeltaShift, true),
+             TracepointId::SysExit},
+            {ebpf::probes::buildTenantDurationEnter(rt, ts, durT),
+             TracepointId::SysEnter},
+            {ebpf::probes::buildTenantDurationExit(rt, ts, durT),
+             TracepointId::SysExit},
+            {ebpf::probes::buildTenantDurationExit(rt, ts, durT,
+                                                   kDeltaShift, true),
+             TracepointId::SysExit},
+            {ebpf::probes::buildTenantHeavyHitter(rt, ts, {44, 45}, sketch),
+             TracepointId::SysExit},
+            {ebpf::probes::buildStreamProbe(rt, 1000, false, stream),
+             TracepointId::SysEnter},
+            {ebpf::probes::buildStreamProbe(rt, 1000, true, stream),
+             TracepointId::SysExit},
+            {ebpf::probes::buildRunqlatWakeup(rt, runq),
+             TracepointId::SchedWakeup},
+            {ebpf::probes::buildRunqlatSwitch(rt, ts, runq),
+             TracepointId::SchedSwitch},
+            {ebpf::probes::buildFrontDoorIngress(rt, door),
+             TracepointId::NetRxEnqueue},
+            {ebpf::probes::buildFrontDoorAccept(rt, ts, door),
+             TracepointId::SockAccept},
+        };
 
-    for (auto &spec : lib) {
-        ebpf::NativeProgram np;
-        EXPECT_TRUE(ebpf::compileNative(spec, &np)) << spec.name;
-        EXPECT_NE(np.fn, nullptr) << spec.name;
-        const auto point = spec.name.find("enter") != std::string::npos
-                               ? TracepointId::SysEnter
-                               : TracepointId::SysExit;
-        const auto vr = rt.loadAndAttach(std::move(spec), point);
-        ASSERT_TRUE(vr.ok) << vr.error;
+        for (auto [spec, point] : lib) {
+            const std::string shape = spec.name;
+            spec.name = "renamed";
+            ebpf::NativeProgram np;
+            EXPECT_TRUE(ebpf::compileNative(spec, &np)) << shape;
+            EXPECT_NE(np.fn, nullptr) << shape;
+            const auto vr = rt.loadAndAttach(std::move(spec), point);
+            ASSERT_TRUE(vr.ok) << vr.error;
+        }
+        EXPECT_EQ(rt.loadedPrograms(), std::size(lib));
+        EXPECT_EQ(rt.nativePrograms(), engine == ebpf::ExecEngine::Native
+                                           ? rt.loadedPrograms()
+                                           : 0u);
     }
-    EXPECT_EQ(rt.nativePrograms(), rt.loadedPrograms());
-    EXPECT_EQ(rt.loadedPrograms(), lib.size());
 }
 
 TEST(NativeEngine, NonLibraryProgramFallsBackToTranslated)
