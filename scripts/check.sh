@@ -140,8 +140,10 @@ if [ "$run_sanitize" = 1 ]; then
     cmake --build "$repo/build-check-tsan" -j "$jobs"
     # The storm, sched and engine suites ride along (their labels
     # regex-match perf), named explicitly so trimming the compound
-    # labels can't silently drop them; sched covers the parallel cluster
-    # engine driving per-machine discrete schedulers.
+    # labels can't silently drop them. The parallel cluster engine
+    # driving per-machine discrete schedulers is covered by the fleet
+    # label: the fleet-shaped input of
+    # ParallelClusterTest.BitIdenticalToSerialEngine.
     ctest --test-dir "$repo/build-check-tsan" --output-on-failure \
         -j "$jobs" -L 'perf|fleet|storm|sched|engine' --timeout 300
 fi

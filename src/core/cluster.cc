@@ -89,11 +89,15 @@ liftDegenerate(const ClusterExperimentConfig &config,
 }
 
 /**
- * The conservative parallel discrete-event engine (DESIGN.md §13).
+ * The cluster engine (DESIGN.md §13): one construction, one run loop,
+ * one result collection, over 1 or M+1 simulation domains.
  *
- * Every machine runs as an independent simulation domain (indices
- * 0..M-1) and the whole client population as one more (index M), each
- * with its own event queue and virtual clock. The only cross-domain
+ * The serial engine is the one-domain case: every machine and the
+ * client population share a single Simulation, no fork source is
+ * installed, and the run loop executes one window up to the horizon.
+ * The parallel engine (clusterParallel, when eligible) places machine m
+ * on domain m and the whole client population on domain M, each with
+ * its own event queue and virtual clock. The only cross-domain
  * interaction is message delivery through TcpPipes, whose send() side
  * computes the complete delivery timing (netem verdicts, RTO waits,
  * in-order bump) before the message leaves the sender — so a domain can
@@ -108,38 +112,50 @@ liftDegenerate(const ClusterExperimentConfig &config,
  * send seq) order. A message sent at tick s arrives at >= s + L >= W,
  * so injections never land behind a destination's executed prefix.
  *
- * Determinism: construction below mirrors runClusterExperiment()'s
- * serial construction statement for statement — same component order,
- * and every sim's forkRng() routed through ONE shared master seeded
- * like the serial Simulation — so all random streams are bit-identical
- * to the serial engine's. Window boundaries are pure functions of queue
- * state, never of thread scheduling, which makes results independent of
- * worker count (and byte-identical to the serial engine whenever no
- * injected delivery collides with an unrelated event on the exact same
- * nanosecond tick).
+ * Determinism: both engines run the same construction sequence, and
+ * with M+1 domains every sim's forkRng() is routed through ONE shared
+ * master seeded like the serial Simulation — so all random streams are
+ * bit-identical to the serial engine's. Window boundaries are pure
+ * functions of queue state, never of thread scheduling, which makes
+ * results independent of worker count (and byte-identical to the serial
+ * engine whenever no injected delivery collides with an unrelated event
+ * on the exact same nanosecond tick).
  */
 ClusterExperimentResult
-runClusterParallel(const ClusterExperimentConfig &config)
+runDomainEngine(const ClusterExperimentConfig &config)
 {
-    const unsigned M = config.machines;
-    const std::size_t client_domain = M;
-    const std::size_t domains = static_cast<std::size_t>(M) + 1;
+    // Conservative synchronisation needs a nonzero lookahead (jitter >=
+    // delay admits same-tick cross-domain delivery), and the controller
+    // reads agent state across domains every period, which the window
+    // protocol does not order — both run on one domain.
     const sim::Tick lookahead = clusterLookahead(config);
+    const bool parallel = config.clusterParallel &&
+                          !config.controller.enabled && lookahead > 0;
+    const std::size_t domains = parallel ? config.machines + 1 : 1;
+    const std::size_t client_domain = domains - 1;
+    auto domainOf = [parallel](unsigned m) -> std::size_t {
+        return parallel ? m : 0;
+    };
 
-    // All construction-time forks route through one master stream in
-    // serial construction order; Simulation(seed) seeds its private
-    // master exactly like this.
+    // With M+1 domains, all construction-time forks route through one
+    // master stream in construction order; Simulation(seed) seeds its
+    // private master exactly like this. One domain forks from its own.
     sim::Rng master(config.seed);
     std::vector<std::unique_ptr<sim::Simulation>> sims;
     sims.reserve(domains);
     for (std::size_t d = 0; d < domains; ++d) {
         sims.push_back(std::make_unique<sim::Simulation>(config.seed));
-        sims.back()->setForkSource(&master);
+        if (parallel)
+            sims.back()->setForkSource(&master);
     }
     sim::Simulation &csim = *sims[client_domain];
 
+    // Machines first (each owns a Kernel), machine-major tenant
+    // placement after — the RNG fork order is part of the contract.
     std::vector<std::unique_ptr<workload::Machine>> machines;
     machines.reserve(config.machines);
+    std::vector<sim::Simulation *> backend_sims;
+    backend_sims.reserve(config.machines);
     for (unsigned m = 0; m < config.machines; ++m) {
         kernel::KernelConfig kc;
         kc.cpu = config.system.toCpuConfig();
@@ -148,8 +164,9 @@ runClusterParallel(const ClusterExperimentConfig &config)
             kc.cpu.quantum = config.schedQuantum;
         if (!config.machineSpeedFactors.empty())
             kc.cpu.speed *= config.machineSpeedFactors[m];
+        backend_sims.push_back(sims[domainOf(m)].get());
         machines.push_back(
-            std::make_unique<workload::Machine>(*sims[m], kc));
+            std::make_unique<workload::Machine>(*backend_sims.back(), kc));
     }
     for (auto &machine : machines) {
         for (const ClusterTenantSpec &t : config.tenants)
@@ -158,12 +175,9 @@ runClusterParallel(const ClusterExperimentConfig &config)
             machine->addAntagonist(config.antagonistConfig);
     }
 
+    // One load-balanced client population per tenant.
     std::vector<std::unique_ptr<client::FleetLoadGenerator>> gens;
     gens.reserve(config.tenants.size());
-    std::vector<sim::Simulation *> backend_sims;
-    backend_sims.reserve(machines.size());
-    for (unsigned m = 0; m < config.machines; ++m)
-        backend_sims.push_back(sims[m].get());
     sim::Tick max_qos = 0;
     double max_offered_seconds = 0.0;
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
@@ -188,6 +202,9 @@ runClusterParallel(const ClusterExperimentConfig &config)
             config.tcp, cc, config.lbPolicy));
     }
 
+    // Offered-load schedules (diurnal curves, flash crowds). Phases are
+    // scheduled up front; an empty profile schedules nothing, keeping the
+    // constant-rate path untouched.
     double min_load_factor = 1.0;
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
         const ClusterTenantSpec &spec = config.tenants[t];
@@ -200,6 +217,7 @@ runClusterParallel(const ClusterExperimentConfig &config)
         }
     }
 
+    // One multi-tenant agent per machine: one probe set, T stats slots.
     std::vector<std::unique_ptr<MultiTenantAgent>> agents;
     if (config.attachAgents) {
         agents.reserve(machines.size());
@@ -218,6 +236,62 @@ runClusterParallel(const ClusterExperimentConfig &config)
         }
     }
 
+    // Closed-loop controller (disabled by default: nothing below runs,
+    // nothing is scheduled, existing runs are bit-identical). Enabled,
+    // it forces one domain, so csim is the whole cluster's simulation.
+    std::unique_ptr<FleetController> controller;
+    if (config.controller.enabled) {
+        // Pre-provision scalable worker pools before the machines start:
+        // workers cannot be spawned mid-run, only parked and unparked.
+        for (auto &machine : machines)
+            for (std::size_t t = 0; t < config.tenants.size(); ++t)
+                if (config.tenants[t].workload.model ==
+                    workload::ThreadingModel::DispatcherWorkers)
+                    machine->tenant(t).enableWorkerScaling(
+                        config.controller.maxWorkers);
+
+        FleetActuators act;
+        act.setShed = [&gens](std::size_t t, double p, sim::Tick retry) {
+            gens[t]->setAdmission(p, retry);
+        };
+        act.setDrained = [&gens](std::size_t m, bool drained) {
+            for (auto &gen : gens)
+                gen->balancer().setDrained(m, drained);
+        };
+        act.setWorkerTarget = [&machines, &config](std::size_t m,
+                                                   unsigned workers) {
+            // setWorkerTarget is a no-op on non-DispatcherWorkers apps.
+            for (std::size_t t = 0; t < config.tenants.size(); ++t)
+                machines[m]->tenant(t).setWorkerTarget(workers);
+        };
+        controller = std::make_unique<FleetController>(
+            csim, config.controller, config.machines, config.tenants.size(),
+            std::move(act));
+        controller->setInputProvider([&agents, &config] {
+            std::vector<ControllerInput> inputs;
+            inputs.reserve(agents.size() * config.tenants.size());
+            for (std::size_t m = 0; m < agents.size(); ++m) {
+                for (std::size_t t = 0; t < config.tenants.size(); ++t) {
+                    const TenantMetrics &tm = agents[m]->tenant(t);
+                    ControllerInput in;
+                    in.machine = m;
+                    in.tenant = t;
+                    if (!tm.samples().empty()) {
+                        const MetricsSample &s = tm.samples().back();
+                        in.t = s.t;
+                        in.slack = s.slack;
+                        in.saturated = s.saturated;
+                        in.sendCount = s.send.count;
+                        in.degraded = s.health.degraded();
+                        in.varianceRatio = tm.saturation().varianceRatio();
+                    }
+                    inputs.push_back(in);
+                }
+            }
+            return inputs;
+        });
+    }
+
     // Construction (and therefore forking) is complete; a late fork from
     // a domain thread would race on the shared master, so cut it off.
     for (auto &s : sims)
@@ -225,11 +299,14 @@ runClusterParallel(const ClusterExperimentConfig &config)
 
     // Switch every cross-domain pipe into envelope mode. One channel per
     // pipe direction; send-order stamps come from a per-sender-domain
-    // counter shared by all of that domain's channels.
+    // counter shared by all of that domain's channels. A link whose two
+    // ends share a domain (every link, with one domain) stays direct.
     std::vector<std::uint64_t> send_seq(domains, 0);
     std::vector<std::unique_ptr<net::CrossDomainChannel>> channels;
     for (std::size_t t = 0; t < gens.size(); ++t) {
         for (unsigned m = 0; m < config.machines; ++m) {
+            if (domainOf(m) == client_domain)
+                continue;
             for (std::size_t i = 0; i < gens[t]->linkCount(m); ++i) {
                 net::Link &link = gens[t]->link(m, i);
                 channels.push_back(
@@ -250,25 +327,27 @@ runClusterParallel(const ClusterExperimentConfig &config)
         agent->start();
     for (auto &gen : gens)
         gen->start();
+    if (controller)
+        controller->start();
 
-    const sim::Tick grace = std::max<sim::Tick>(
-        sim::milliseconds(500), 4 * max_qos + 8 * config.netem.delay);
+    // A load profile stretches the arrival schedule by up to the inverse
+    // of its lowest factor (the budget drains slowest at the trough).
+    // Shed-retry backoff can hold the last admitted requests for seconds.
     const sim::Tick horizon =
-        config.warmup +
-        static_cast<sim::Tick>(max_offered_seconds / min_load_factor *
-                               1.05 * 1e9) +
-        grace;
-
-    const unsigned workers =
-        resolveWorkerCount(config.clusterWorkers, domains);
-    const bool threaded = workers > 1 && !inWorkerPool();
+        runHorizon(config.warmup, max_offered_seconds / min_load_factor,
+                   max_qos, config.netem) +
+        (config.controller.enabled ? sim::seconds(4) : 0);
 
     // Conservative time advance: no event below `earliest` exists
     // anywhere, so no message can arrive anywhere before earliest + L —
     // every domain may run freely up to (exclusive) that bound. The
-    // bound is horizon + 1 because the serial engine's runUntil(horizon)
-    // still executes events at exactly the horizon tick.
+    // bound is horizon + 1 because runUntil(horizon) still executes
+    // events at exactly the horizon tick. One domain receives no
+    // messages, so its single window runs straight to the bound.
     const sim::Tick bound = horizon + 1;
+    const sim::Tick step = parallel ? lookahead : bound;
+    const unsigned workers =
+        resolveWorkerCount(config.clusterWorkers, domains);
     std::uint64_t windows = 0;
     std::uint64_t messages = 0;
     struct Injection
@@ -283,16 +362,9 @@ runClusterParallel(const ClusterExperimentConfig &config)
             earliest = std::min(earliest, s->nextEventTick());
         if (earliest >= bound)
             break;
-        const sim::Tick wend =
-            std::min<sim::Tick>(bound, earliest + lookahead);
-        if (threaded) {
-            poolRun(domains, workers, [&](std::size_t d) {
-                sims[d]->runWindow(wend);
-            });
-        } else {
-            for (auto &s : sims)
-                s->runWindow(wend);
-        }
+        const sim::Tick wend = std::min<sim::Tick>(bound, earliest + step);
+        poolRun(domains, workers,
+                [&](std::size_t d) { sims[d]->runWindow(wend); });
         ++windows;
 
         pending.clear();
@@ -321,8 +393,8 @@ runClusterParallel(const ClusterExperimentConfig &config)
             ++messages;
         }
     }
-    // Align every clock with the serial engine's final state; all events
-    // up to the horizon have already run, so this only advances now.
+    // Every event up to the horizon has run; this only advances each
+    // clock to the horizon.
     for (auto &s : sims)
         s->runUntil(horizon);
 
@@ -375,6 +447,10 @@ runClusterParallel(const ClusterExperimentConfig &config)
     }
     for (auto &machine : machines)
         out.syscalls += machine->kernel().syscallCount();
+    if (controller) {
+        controller->stop();
+        out.controller = controller->stats();
+    }
     for (auto &agent : agents) {
         out.probeEvents += agent->runtime().eventsProcessed();
         out.probeInsns += agent->runtime().insnsInterpreted();
@@ -384,10 +460,14 @@ runClusterParallel(const ClusterExperimentConfig &config)
     for (auto &gen : gens)
         gen->stop();
 
-    out.engineParallel = true;
-    out.lookaheadNs = lookahead;
-    out.barrierWindows = windows;
-    out.crossDomainMessages = messages;
+    // Engine telemetry describes the parallel engine only; the serial
+    // engine reports zeros.
+    if (parallel) {
+        out.engineParallel = true;
+        out.lookaheadNs = lookahead;
+        out.barrierWindows = windows;
+        out.crossDomainMessages = messages;
+    }
     return out;
 }
 
@@ -429,262 +509,19 @@ runClusterExperiment(const ClusterExperimentConfig &config)
         return liftDegenerate(config, runExperiment(single));
     }
 
-    // Parallel engine dispatch. Conservative synchronisation needs a
-    // nonzero lookahead (jitter >= delay admits same-tick cross-domain
-    // delivery), and the controller reads agent state across domains
-    // every period, which the window protocol does not order — both fall
-    // back to the serial engine below, transparently and bit-identically.
-    if (config.clusterParallel && !config.controller.enabled &&
-        clusterLookahead(config) > 0)
-        return runClusterParallel(config);
-
-    sim::Simulation sim(config.seed);
-
-    // Machines first (each owns a Kernel), machine-major tenant
-    // placement after — the RNG fork order is part of the contract.
-    std::vector<std::unique_ptr<workload::Machine>> machines;
-    machines.reserve(config.machines);
-    for (unsigned m = 0; m < config.machines; ++m) {
-        kernel::KernelConfig kc;
-        kc.cpu = config.system.toCpuConfig();
-        kc.cpu.sched = config.sched;
-        if (config.schedQuantum > 0)
-            kc.cpu.quantum = config.schedQuantum;
-        if (!config.machineSpeedFactors.empty())
-            kc.cpu.speed *= config.machineSpeedFactors[m];
-        machines.push_back(std::make_unique<workload::Machine>(sim, kc));
-    }
-    for (auto &machine : machines) {
-        for (const ClusterTenantSpec &t : config.tenants)
-            machine->addTenant(t.workload);
-        if (config.antagonist)
-            machine->addAntagonist(config.antagonistConfig);
-    }
-
-    // One load-balanced client population per tenant.
-    std::vector<std::unique_ptr<client::FleetLoadGenerator>> gens;
-    gens.reserve(config.tenants.size());
-    sim::Tick max_qos = 0;
-    double max_offered_seconds = 0.0;
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const ClusterTenantSpec &spec = config.tenants[t];
-        std::vector<workload::ServerApp *> backends;
-        backends.reserve(machines.size());
-        for (auto &machine : machines)
-            backends.push_back(&machine->tenant(t));
-        client::ClientConfig cc;
-        cc.offeredRps = spec.offeredRps;
-        cc.maxRequests = spec.requests;
-        cc.warmup = config.warmup;
-        cc.qosLatency = config.qosLatency > 0
-                            ? config.qosLatency
-                            : defaultQosLatency(spec.workload, config.netem);
-        max_qos = std::max(max_qos, cc.qosLatency);
-        max_offered_seconds =
-            std::max(max_offered_seconds,
-                     static_cast<double>(spec.requests) / spec.offeredRps);
-        gens.push_back(std::make_unique<client::FleetLoadGenerator>(
-            sim, std::move(backends), config.netem, config.tcp, cc,
-            config.lbPolicy));
-    }
-
-    // Offered-load schedules (diurnal curves, flash crowds). Phases are
-    // scheduled up front; an empty profile schedules nothing, keeping the
-    // constant-rate path untouched.
-    double min_load_factor = 1.0;
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const ClusterTenantSpec &spec = config.tenants[t];
-        client::FleetLoadGenerator *gen = gens[t].get();
-        for (const LoadPhase &phase : spec.loadProfile) {
-            min_load_factor = std::min(min_load_factor, phase.factor);
-            const double rps = spec.offeredRps * phase.factor;
-            sim.scheduleAt(phase.at, [gen, rps] { gen->setOfferedRps(rps); });
-        }
-    }
-
-    // One multi-tenant agent per machine: one probe set, T stats slots.
-    std::vector<std::unique_ptr<MultiTenantAgent>> agents;
-    if (config.attachAgents) {
-        agents.reserve(machines.size());
-        for (auto &machine : machines) {
-            std::vector<TenantBinding> bindings;
-            bindings.reserve(config.tenants.size());
-            for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-                TenantBinding b;
-                b.name = config.tenants[t].workload.name;
-                b.tgid = machine->tenant(t).frontPid();
-                b.profile = profileFor(config.tenants[t].workload);
-                bindings.push_back(std::move(b));
-            }
-            agents.push_back(std::make_unique<MultiTenantAgent>(
-                machine->kernel(), std::move(bindings), config.agent));
-        }
-    }
-
-    // Closed-loop controller (disabled by default: nothing below runs,
-    // nothing is scheduled, existing runs are bit-identical).
-    std::unique_ptr<FleetController> controller;
-    if (config.controller.enabled) {
-        // Pre-provision scalable worker pools before the machines start:
-        // workers cannot be spawned mid-run, only parked and unparked.
-        for (auto &machine : machines)
-            for (std::size_t t = 0; t < config.tenants.size(); ++t)
-                if (config.tenants[t].workload.model ==
-                    workload::ThreadingModel::DispatcherWorkers)
-                    machine->tenant(t).enableWorkerScaling(
-                        config.controller.maxWorkers);
-
-        FleetActuators act;
-        act.setShed = [&gens](std::size_t t, double p, sim::Tick retry) {
-            gens[t]->setAdmission(p, retry);
-        };
-        act.setDrained = [&gens](std::size_t m, bool drained) {
-            for (auto &gen : gens)
-                gen->balancer().setDrained(m, drained);
-        };
-        act.setWorkerTarget = [&machines, &config](std::size_t m,
-                                                   unsigned workers) {
-            // setWorkerTarget is a no-op on non-DispatcherWorkers apps.
-            for (std::size_t t = 0; t < config.tenants.size(); ++t)
-                machines[m]->tenant(t).setWorkerTarget(workers);
-        };
-        controller = std::make_unique<FleetController>(
-            sim, config.controller, config.machines, config.tenants.size(),
-            std::move(act));
-        controller->setInputProvider([&agents, &config] {
-            std::vector<ControllerInput> inputs;
-            inputs.reserve(agents.size() * config.tenants.size());
-            for (std::size_t m = 0; m < agents.size(); ++m) {
-                for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-                    const TenantMetrics &tm = agents[m]->tenant(t);
-                    ControllerInput in;
-                    in.machine = m;
-                    in.tenant = t;
-                    if (!tm.samples().empty()) {
-                        const MetricsSample &s = tm.samples().back();
-                        in.t = s.t;
-                        in.slack = s.slack;
-                        in.saturated = s.saturated;
-                        in.sendCount = s.send.count;
-                        in.degraded = s.health.degraded();
-                        in.varianceRatio = tm.saturation().varianceRatio();
-                    }
-                    inputs.push_back(in);
-                }
-            }
-            return inputs;
-        });
-    }
-
-    for (auto &machine : machines)
-        machine->start();
-    for (auto &agent : agents)
-        agent->start();
-    for (auto &gen : gens)
-        gen->start();
-    if (controller)
-        controller->start();
-
-    sim::Tick grace = std::max<sim::Tick>(
-        sim::milliseconds(500), 4 * max_qos + 8 * config.netem.delay);
-    // Shed-retry backoff can hold the last admitted requests for seconds.
-    if (config.controller.enabled)
-        grace += sim::seconds(4);
-    // A load profile stretches the arrival schedule by up to the inverse
-    // of its lowest factor (the budget drains slowest at the trough).
-    const sim::Tick horizon =
-        config.warmup +
-        static_cast<sim::Tick>(max_offered_seconds / min_load_factor * 1.05 *
-                               1e9) +
-        grace;
-    sim.runUntil(horizon);
-
-    ClusterExperimentResult out;
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const client::FleetLoadGenerator &gen = *gens[t];
-        ClusterTenantResult tr;
-        tr.name = config.tenants[t].workload.name;
-        tr.offeredRps = config.tenants[t].offeredRps;
-        tr.achievedRps = gen.achievedRps();
-        tr.completed = gen.completed();
-        tr.p50Ns = gen.latencies().p50();
-        tr.p95Ns = gen.latencies().p95();
-        tr.p99Ns = gen.latencies().p99();
-        tr.qosViolated = gen.qosViolated();
-        tr.arrivals = gen.arrivals();
-        tr.shedded = gen.shedded();
-        tr.shedDropped = gen.shedDropped();
-
-        FleetAggregator agg(config.machines,
-                            std::max<sim::Tick>(1,
-                                                config.agent.samplePeriod));
-        for (unsigned m = 0; m < config.machines; ++m) {
-            TenantMachineResult mr;
-            mr.achievedRps = gen.backendAchievedRps(m);
-            mr.completed = gen.backendCompleted(m);
-            mr.kernelSyscalls =
-                machines[m]->kernel().syscallCountFor(
-                    machines[m]->tenant(t).frontPid());
-            if (!agents.empty()) {
-                const MultiTenantAgent &agent = *agents[m];
-                mr.observedRps = agent.overallObservedRps(t);
-                mr.sendVarNs2 = agent.overallSendVariance(t);
-                mr.pollMeanDurNs = agent.overallPollMeanDurationNs(t);
-                mr.probeSendSyscalls = agent.sendSyscalls(t);
-                mr.samples = agent.tenant(t).samples().size();
-                mr.runqP99Ns = agent.overallRunqP99Ns(t);
-                agg.addSeries(m, agent.tenant(t).samples());
-                tr.observedRps += mr.observedRps;
-                tr.runqP99Ns = std::max(tr.runqP99Ns, mr.runqP99Ns);
-            }
-            tr.machines.push_back(mr);
-        }
-        tr.fleetSeries = agg.merged();
-
-        out.fleetOfferedRps += tr.offeredRps;
-        out.fleetAchievedRps += tr.achievedRps;
-        out.fleetObservedRps += tr.observedRps;
-        out.tenants.push_back(std::move(tr));
-    }
-    for (auto &machine : machines)
-        out.syscalls += machine->kernel().syscallCount();
-    if (controller) {
-        controller->stop();
-        out.controller = controller->stats();
-    }
-    for (auto &agent : agents) {
-        out.probeEvents += agent->runtime().eventsProcessed();
-        out.probeInsns += agent->runtime().insnsInterpreted();
-        out.probeCostNs += agent->runtime().totalProbeCost();
-        agent->stop();
-    }
-    for (auto &gen : gens)
-        gen->stop();
-    return out;
+    return runDomainEngine(config);
 }
 
 std::vector<ClusterExperimentResult>
 runClusterExperimentsParallel(
     const std::vector<ClusterExperimentConfig> &configs, unsigned threads)
 {
-    std::vector<ClusterExperimentResult> out(configs.size());
-    if (configs.empty())
-        return out;
-
     // Same worker pool and REQOBS_JOBS semantics as every other parallel
-    // harness: one process-wide thread budget. Nested calls (including a
-    // clusterParallel run launched from inside a pool batch) detect the
-    // pool and run serial-inline instead of deadlocking.
-    const unsigned workers = resolveWorkerCount(threads, configs.size());
-    if (workers <= 1 || inWorkerPool()) {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            out[i] = runClusterExperiment(configs[i]);
-        return out;
-    }
-
-    poolRun(configs.size(), workers, [&](std::size_t i) {
-        out[i] = runClusterExperiment(configs[i]);
-    });
+    // harness: one process-wide thread budget. A clusterParallel run
+    // inside this batch runs its windows inline on its pool worker.
+    std::vector<ClusterExperimentResult> out(configs.size());
+    poolRun(configs.size(), resolveWorkerCount(threads, configs.size()),
+            [&](std::size_t i) { out[i] = runClusterExperiment(configs[i]); });
     return out;
 }
 

@@ -9,6 +9,11 @@
  * and delegates to runExperiment() outright, so the single-machine path
  * (and every figure bench built on it) is bit-identical to the
  * pre-cluster harness by construction.
+ *
+ * Every other run goes through one engine with one construction
+ * sequence, one run loop and one result collection over its simulation
+ * domains: a single domain (the serial engine) or, under
+ * clusterParallel, one domain per machine plus one for the clients.
  */
 
 #ifndef REQOBS_CORE_CLUSTER_HH
@@ -102,14 +107,16 @@ struct ClusterExperimentConfig
     /**
      * @name Parallel discrete-event engine (see DESIGN.md §13).
      *
-     * When enabled, every machine (and the client population) becomes an
-     * independent simulation domain executed on the shared worker pool,
+     * When enabled, the cluster is built into M+1 simulation domains
+     * instead of one: every machine and the client population become
+     * independent domains executed on the shared worker pool,
      * synchronised by conservative lookahead windows derived from the
-     * netem one-way delay. The result is bit-identical to the serial
-     * engine; configurations the conservative protocol cannot handle
-     * (zero lookahead because jitter >= delay, or an enabled controller,
-     * whose control loop reads across domains every period) silently
-     * fall back to the serial engine — check
+     * netem one-way delay. Construction, run loop and result collection
+     * are the serial engine's own, so the result is bit-identical to
+     * it; configurations the conservative protocol cannot handle (zero
+     * lookahead because jitter >= delay, or an enabled controller, whose
+     * control loop reads across domains every period) silently run on
+     * one domain, i.e. the serial engine — check
      * ClusterExperimentResult::engineParallel for what actually ran.
      * @{
      */

@@ -26,6 +26,16 @@ defaultQosLatency(const workload::WorkloadConfig &workload,
     return 12 * service + 4 * netem.delay + sim::milliseconds(1);
 }
 
+sim::Tick
+runHorizon(sim::Tick warmup, double offered_seconds, sim::Tick qos,
+           const net::NetemConfig &netem)
+{
+    const sim::Tick grace = std::max<sim::Tick>(
+        sim::milliseconds(500), 4 * qos + 8 * netem.delay);
+    return warmup + static_cast<sim::Tick>(offered_seconds * 1.05 * 1e9) +
+           grace;
+}
+
 ExperimentResult
 runExperiment(const ExperimentConfig &config)
 {
@@ -124,15 +134,9 @@ runExperiment(const ExperimentConfig &config)
     for (auto &s : storms)
         s->start();
 
-    // Offered-load window plus grace for queues and retransmissions.
-    const double offered_seconds =
-        static_cast<double>(config.requests) / config.offeredRps;
-    const sim::Tick grace = std::max<sim::Tick>(
-        sim::milliseconds(500), 4 * cc.qosLatency + 8 * config.netem.delay);
-    const sim::Tick horizon =
-        config.warmup +
-        static_cast<sim::Tick>(offered_seconds * 1.05 * 1e9) + grace;
-    sim.runUntil(horizon);
+    sim.runUntil(runHorizon(
+        config.warmup, static_cast<double>(config.requests) / config.offeredRps,
+        cc.qosLatency, config.netem));
 
     ExperimentResult res;
     res.offeredRps = config.offeredRps;
@@ -275,21 +279,11 @@ std::vector<ExperimentResult>
 runExperimentsParallel(const std::vector<ExperimentConfig> &configs,
                        unsigned threads)
 {
-    std::vector<ExperimentResult> out(configs.size());
-    if (configs.empty())
-        return out;
-
-    const unsigned workers = resolveWorkerCount(threads, configs.size());
-    if (workers <= 1 || inWorkerPool()) {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            out[i] = runExperiment(configs[i]);
-        return out;
-    }
-
     // Each experiment owns a whole Simulation, so runs are independent;
     // indexed output slots make the result order (and content) identical
-    // to the serial loop above regardless of scheduling.
-    poolRun(configs.size(), workers,
+    // to a serial loop regardless of scheduling.
+    std::vector<ExperimentResult> out(configs.size());
+    poolRun(configs.size(), resolveWorkerCount(threads, configs.size()),
             [&](std::size_t i) { out[i] = runExperiment(configs[i]); });
     return out;
 }

@@ -143,6 +143,14 @@ struct ExperimentResult
 sim::Tick defaultQosLatency(const workload::WorkloadConfig &workload,
                             const net::NetemConfig &netem);
 
+/**
+ * Simulated end of a run: warmup, the offered-load window of
+ * @p offered_seconds stretched by 5 %, and a grace period for queues
+ * and retransmissions of max(500 ms, 4 * @p qos + 8 * netem delay).
+ */
+sim::Tick runHorizon(sim::Tick warmup, double offered_seconds,
+                     sim::Tick qos, const net::NetemConfig &netem);
+
 /** Run one experiment; fully deterministic for a given config. */
 ExperimentResult runExperiment(const ExperimentConfig &config);
 

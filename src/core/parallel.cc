@@ -170,16 +170,15 @@ resolveWorkerCount(unsigned requested, std::size_t jobs)
         std::min<std::size_t>(n, std::max<std::size_t>(jobs, 1)));
 }
 
-bool
-inWorkerPool()
-{
-    return WorkerPool::inWorker();
-}
-
 void
 poolRun(std::size_t jobs, unsigned workers,
         const std::function<void(std::size_t)> &fn)
 {
+    if (workers <= 1 || WorkerPool::inWorker()) {
+        for (std::size_t i = 0; i < jobs; ++i)
+            fn(i);
+        return;
+    }
     WorkerPool::instance().run(jobs, workers, fn);
 }
 

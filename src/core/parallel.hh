@@ -7,9 +7,9 @@
  * — draw their threads from the single persistent pool defined here, so
  * the process observes one thread budget (REQOBS_JOBS) no matter which
  * layer went parallel first. Nested parallel calls (a cluster run inside
- * a parallel sweep, or vice versa) detect the pool via inWorkerPool()
- * and degrade to serial-inline execution instead of deadlocking on the
- * pool's single batch slot.
+ * a parallel sweep, or vice versa) need no care from the caller: poolRun
+ * itself runs a batch issued from a pool thread serial-inline instead of
+ * deadlocking on the pool's single batch slot.
  */
 
 #ifndef REQOBS_CORE_PARALLEL_HH
@@ -28,19 +28,13 @@ namespace reqobs::core {
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobs);
 
 /**
- * True when the calling thread is a pool worker. Callers about to go
- * parallel must check this and run inline instead: the pool has one
- * batch slot, and publishing a nested batch from inside a batch
- * deadlocks the outer drain against the inner wait.
- */
-bool inWorkerPool();
-
-/**
  * Run fn(0) .. fn(jobs-1) across @p workers threads (the calling thread
  * included) on the persistent pool and return once every index has
  * completed. Indices are claimed from a shared atomic counter, so any
  * thread may run any index; callers must make fn(i) independent of
- * execution order. The pool's batch hand-off (mutex + condition
+ * execution order. With @p workers <= 1, or when the caller is itself
+ * a pool worker (a nested batch would deadlock the pool's single batch
+ * slot), the batch runs on the calling thread in index order. The pool's batch hand-off (mutex + condition
  * variable) establishes happens-before between everything written by
  * the workers during the batch and the caller after return — the
  * synchronisation contract the cluster engine's barrier relies on.

@@ -359,24 +359,65 @@ parallelClusterConfig()
     return cc;
 }
 
+/**
+ * The fleet shape of the runqlat benches, kept small: 2 tenants on a
+ * speed-skewed 3-machine fleet, the discrete scheduler with the runqlat
+ * family, a 48-thread antagonist waking mid-run, a two-phase load
+ * profile, and the same nonzero-lookahead netem.
+ */
+core::ClusterExperimentConfig
+fleetShapedParallelConfig()
+{
+    core::ClusterExperimentConfig cc;
+    for (const char *name : {"img-dnn", "silo"}) {
+        core::ClusterTenantSpec t;
+        t.workload = workload::workloadByName(name);
+        t.offeredRps = 0.6 * t.workload.saturationRps;
+        t.requests = 300;
+        t.loadProfile = {{sim::milliseconds(100), 1.5},
+                         {sim::milliseconds(180), 0.75}};
+        cc.tenants.push_back(std::move(t));
+    }
+    cc.warmup = sim::milliseconds(50);
+    cc.machines = 3;
+    cc.machineSpeedFactors = {1.0, 0.8, 1.2};
+    cc.sched = kernel::SchedModel::Discrete;
+    cc.agent.runqlatHistogram = true;
+    cc.antagonist = true;
+    cc.antagonistConfig.threads = 48;
+    cc.antagonistConfig.startAt = sim::milliseconds(150);
+    cc.netem.delay = sim::microseconds(100);
+    cc.netem.jitter = sim::microseconds(20);
+    cc.seed = 23;
+    return cc;
+}
+
 TEST(ParallelClusterTest, BitIdenticalToSerialEngine)
 {
-    core::ClusterExperimentConfig cc = parallelClusterConfig();
-    const auto serial = core::runClusterExperiment(cc);
-    EXPECT_FALSE(serial.engineParallel);
+    for (core::ClusterExperimentConfig cc :
+         {parallelClusterConfig(), fleetShapedParallelConfig()}) {
+        const auto serial = core::runClusterExperiment(cc);
+        EXPECT_FALSE(serial.engineParallel);
 
-    cc.clusterParallel = true;
-    cc.clusterWorkers = 2;
-    const auto par = core::runClusterExperiment(cc);
-    EXPECT_TRUE(par.engineParallel);
-    EXPECT_EQ(par.lookaheadNs, core::clusterLookahead(cc));
-    EXPECT_GT(par.barrierWindows, 0u);
-    EXPECT_GT(par.crossDomainMessages, 0u);
+        cc.clusterParallel = true;
+        cc.clusterWorkers = 2;
+        const auto par = core::runClusterExperiment(cc);
+        EXPECT_TRUE(par.engineParallel);
+        EXPECT_EQ(par.lookaheadNs, core::clusterLookahead(cc));
+        EXPECT_GT(par.barrierWindows, 0u);
+        EXPECT_GT(par.crossDomainMessages, 0u);
 
-    // The physics — every latency percentile, every per-machine counter,
-    // every fleet sample — must be byte-for-byte what the serial engine
-    // computed.
-    EXPECT_EQ(test::clusterBytes(serial), test::clusterBytes(par));
+        // The physics — every latency percentile, every per-machine
+        // counter, every fleet sample, the run-queue family included —
+        // must be byte-for-byte what the serial engine computed.
+        EXPECT_EQ(test::clusterBytes(serial), test::clusterBytes(par));
+        for (const core::ClusterTenantResult &t : serial.tenants) {
+            EXPECT_GT(t.completed, 0u) << t.name;
+            if (cc.agent.runqlatHistogram) {
+                EXPECT_GT(t.runqP99Ns, 0.0) << t.name;
+            }
+        }
+    }
 }
 
 TEST(ParallelClusterTest, ZeroLookaheadFallsBackToSerial)

@@ -290,16 +290,6 @@ fieldsOf(const core::ClusterExperimentResult &r)
 {
     Fields f;
     f.addLines(test::clusterBytes(r));
-    // clusterBytes predates the runqlat family; add its fields here.
-    for (const core::ClusterTenantResult &t : r.tenants) {
-        f.add(t.name + ".runqP99Ns", t.runqP99Ns);
-        for (std::size_t m = 0; m < t.machines.size(); ++m)
-            f.add(t.name + ".machine[" + std::to_string(m) + "].runqP99Ns",
-                  t.machines[m].runqP99Ns);
-        for (std::size_t i = 0; i < t.fleetSeries.size(); ++i)
-            f.add(t.name + ".fleet[" + std::to_string(i) + "].runqP99Ns",
-                  t.fleetSeries[i].runqP99Ns);
-    }
     return f;
 }
 
