@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full pre-merge check: Release build + tier-1 tests, sanitizer build +
-# tier-1 tests, then the gated
-# host-perf report (BENCH_perf.json), the gated scale report
-# (BENCH_scale.json), the closed-loop control report
+# Full pre-merge check: Release build + tier-1 tests, the figure-bench
+# golden hashes and the benchmark's output digests, sanitizer build +
+# tier-1 tests, then the gated host-perf report (BENCH_perf.json), the
+# gated scale report (BENCH_scale.json), the closed-loop control report
 # (BENCH_control.json), the front-door storm report
 # (BENCH_frontdoor.json) and the run-queue-latency report
 # (BENCH_runqlat.json) at the repo root. Run from anywhere; all paths
@@ -89,17 +89,22 @@ for fig in bench_fig1_trace bench_fig2_rps_correlation \
 done
 (cd "$tmp" && sha256sum -c "$repo/scripts/figure_bench_golden.sha256")
 
-# The same hashes must hold with the scheduler override pinned to GPS:
-# REQOBS_SCHED=gps forces the legacy fluid engine regardless of config,
-# proving the env hook and the discrete-dispatch refactor leave the
-# default path untouched down to the byte.
-echo "== Figure-bench golden hashes (REQOBS_SCHED=gps pinned) =="
-for fig in bench_fig1_trace bench_fig2_rps_correlation \
-    bench_fig3_send_variance bench_fig4_epoll_duration \
-    bench_fig5_loss_tail; do
-    REQOBS_SCHED=gps "$repo/build-check/bench/$fig" > "$tmp/$fig"
+# The golden hashes only cover the single-machine ObservabilityAgent
+# path. The host-time benchmark's output digests also cover the
+# MultiTenantAgent, the cluster merge and the front door: every workload
+# must reproduce the digests recorded in perfbench/reference.json
+# (perfbench builds its own Release tree under .bench_build/).
+echo "== Benchmark output digests =="
+for wl in fig-sweep fleet-runq storm-door; do
+    python3 "$repo/perfbench/run.py" --workload "$wl" --seed 0 \
+        --seconds 1 --trace 1 > "$tmp/perfbench-$wl"
+    if ! tail -n 1 "$tmp/perfbench-$wl" | grep -q '"correct": true'; then
+        cat "$tmp/perfbench-$wl"
+        echo "perfbench $wl: output digests do not match" >&2
+        exit 1
+    fi
+    echo "$wl: $(grep '^# digest:' "$tmp/perfbench-$wl")"
 done
-(cd "$tmp" && sha256sum -c "$repo/scripts/figure_bench_golden.sha256")
 
 if [ "$run_sanitize" = 1 ]; then
     echo "== Sanitizer build + tests =="

@@ -11,11 +11,11 @@ ObservabilityAgent::ObservabilityAgent(kernel::Kernel &kernel,
                                        const SyscallProfile &profile,
                                        const AgentConfig &config)
     : kernel_(kernel), tgid_(tgid), profile_(profile), config_(config),
-      saturation_(config.saturation), slack_(config.slack),
+      runtime_(std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime)),
+      stage_(*runtime_, config.lossAware),
+      chain_(config.saturation, config.slack),
       alive_(std::make_shared<bool>(true))
-{
-    runtime_ = std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime);
-}
+{}
 
 ObservabilityAgent::~ObservabilityAgent()
 {
@@ -78,17 +78,9 @@ ObservabilityAgent::start()
 
     running_ = true;
     backoff_ = 1;
-    sendSnap_ = SyscallStats{};
-    recvSnap_ = SyscallStats{};
-    pollSnap_ = SyscallStats{};
+    start_ = WindowMark{};
     tearNextWindow_ = false;
-    baseMapUpdateFails_ = 0;
-    baseRingbufDrops_ = 0;
-    baseProbeMisses_ = 0;
-    lossSendSnap_ = {};
-    lossRecvSnap_ = {};
-    lossPollEnterSnap_ = {};
-    lossPollExitSnap_ = {};
+    stage_.lossBase = AgentHealth{};
     scheduleSample();
 }
 
@@ -108,34 +100,20 @@ ObservabilityAgent::readStats(int fd) const
     return runtime_->arrayAt(fd).at<SyscallStats>(0);
 }
 
-ObservabilityAgent::LossSnap
-ObservabilityAgent::familySnap(bool attached, const char *name) const
+WindowMark
+ObservabilityAgent::readMark() const
 {
-    if (!attached)
-        return {};
-    return {runtime_->probeLoss(name), runtime_->probeMissesFor(name),
-            runtime_->probeRunsFor(name)};
-}
-
-std::uint64_t
-ObservabilityAgent::lostEvents(const LossSnap &now, const LossSnap &snap,
-                               std::uint64_t window_count)
-{
-    // In-program losses (failed map updates, ringbuf drops) happen after
-    // the bytecode's syscall-id filter: absolute counts of lost family
-    // events. Missed runs happen before the program (and its filter)
-    // ever executes, across every syscall the raw tracepoint fires for,
-    // so only the family's share of arrivals was really lost — scale
-    // the misses by the window's recorded-events-per-run ratio (misses
-    // strike independently of syscall type).
-    const std::uint64_t d_inprog =
-        (now.loss - now.misses) - (snap.loss - snap.misses);
-    const std::uint64_t d_miss = now.misses - snap.misses;
-    const std::uint64_t d_runs = now.runs - snap.runs;
-    std::uint64_t est = d_inprog;
-    if (d_miss > 0 && d_runs > 0)
-        est += (window_count * d_miss + d_runs / 2) / d_runs;
-    return est;
+    // A detached family's map never advances; reading it anyway would
+    // only feed zero windows. Partial-operation mode: read what's live.
+    WindowMark m;
+    if (health_.sendAttached)
+        m.send = readStats(sendMaps_.statsFd);
+    if (health_.recvAttached)
+        m.recv = readStats(recvMaps_.statsFd);
+    if (health_.pollAttached)
+        m.poll = readStats(pollMaps_.statsFd);
+    m.loss = stage_.readLoss(health_);
+    return m;
 }
 
 void
@@ -154,41 +132,22 @@ ObservabilityAgent::scheduleSample()
 void
 ObservabilityAgent::takeSample()
 {
-    // A detached family's map never advances; reading it anyway would
-    // only feed zero windows. Partial-operation mode: read what's live.
-    const SyscallStats send_now =
-        health_.sendAttached ? readStats(sendMaps_.statsFd) : SyscallStats{};
-    const SyscallStats recv_now =
-        health_.recvAttached ? readStats(recvMaps_.statsFd) : SyscallStats{};
-    const SyscallStats poll_now =
-        health_.pollAttached ? readStats(pollMaps_.statsFd) : SyscallStats{};
+    const WindowMark now = readMark();
 
     // A cumulative counter moving backwards means the kernel-side map
     // state was reset under us (a wiped map / lost pin across a
     // restart). Differencing across the reset would wrap the u64 into
     // an astronomical window; a restart-spanning window (marked torn by
     // the supervisor) likewise holds one outage-wide delta. Both tear
-    // down exactly this window: reseed every snapshot, emit nothing.
+    // down exactly this window: reseed the window start, emit nothing.
     const bool regressed =
-        (health_.sendAttached && send_now.count < sendSnap_.count) ||
-        (health_.recvAttached && recv_now.count < recvSnap_.count) ||
-        (health_.pollAttached && poll_now.count < pollSnap_.count);
+        (health_.sendAttached && now.send.count < start_.send.count) ||
+        (health_.recvAttached && now.recv.count < start_.recv.count) ||
+        (health_.pollAttached && now.poll.count < start_.poll.count);
     if (regressed || tearNextWindow_) {
         tearNextWindow_ = false;
         ++health_.discontinuities;
-        sendSnap_ = send_now;
-        recvSnap_ = recv_now;
-        pollSnap_ = poll_now;
-        if (config_.lossAware) {
-            lossSendSnap_ =
-                familySnap(health_.sendAttached, "send.delta_exit");
-            lossRecvSnap_ =
-                familySnap(health_.recvAttached, "recv.delta_exit");
-            lossPollEnterSnap_ =
-                familySnap(health_.pollAttached, "poll.duration_enter");
-            lossPollExitSnap_ =
-                familySnap(health_.pollAttached, "poll.duration_exit");
-        }
+        start_ = now;
         return;
     }
 
@@ -196,9 +155,9 @@ ObservabilityAgent::takeSample()
     // Eq. 1's signal). With everything detached every window is stale and
     // the agent idles at maximum backoff instead of crashing.
     const std::uint64_t fresh =
-        health_.sendAttached ? send_now.count - sendSnap_.count
-        : health_.recvAttached ? recv_now.count - recvSnap_.count
-                               : poll_now.count - pollSnap_.count;
+        health_.sendAttached ? now.send.count - start_.send.count
+        : health_.recvAttached ? now.recv.count - start_.recv.count
+                               : now.poll.count - start_.poll.count;
     if (fresh < config_.minWindowSyscalls) {
         // keep accumulating this window
         ++health_.staleWindows;
@@ -209,145 +168,38 @@ ObservabilityAgent::takeSample()
     }
     backoff_ = 1;
     health_.backoffFactor = backoff_;
-    health_.mapUpdateFails = baseMapUpdateFails_ + runtime_->mapUpdateFails();
-    health_.ringbufDrops = baseRingbufDrops_ + runtime_->ringbufDrops();
-    health_.probeMisses = baseProbeMisses_ + runtime_->probeMisses();
 
     MetricsSample s;
     s.t = kernel_.sim().now();
-    s.send = diffStats(sendSnap_, send_now);
-    s.recv = diffStats(recvSnap_, recv_now);
-    if (poll_now.count > pollSnap_.count &&
-        poll_now.sumNs >= pollSnap_.sumNs) {
-        s.pollCount = poll_now.count - pollSnap_.count;
-        s.pollMeanDurNs =
-            static_cast<double>(poll_now.sumNs - pollSnap_.sumNs) /
-            static_cast<double>(s.pollCount);
-    }
-    if (config_.lossAware) {
-        const LossSnap loss_send =
-            familySnap(health_.sendAttached, "send.delta_exit");
-        const LossSnap loss_recv =
-            familySnap(health_.recvAttached, "recv.delta_exit");
-        const LossSnap loss_pe =
-            familySnap(health_.pollAttached, "poll.duration_enter");
-        const LossSnap loss_px =
-            familySnap(health_.pollAttached, "poll.duration_exit");
-        const std::uint64_t d_send =
-            lostEvents(loss_send, lossSendSnap_, s.send.count);
-        const std::uint64_t d_recv =
-            lostEvents(loss_recv, lossRecvSnap_, s.recv.count);
-        const std::uint64_t d_poll =
-            lostEvents(loss_pe, lossPollEnterSnap_, s.pollCount) +
-            lostEvents(loss_px, lossPollExitSnap_, s.pollCount);
-        s.send = correctForLoss(s.send, d_send);
-        s.recv = correctForLoss(s.recv, d_recv);
-        // Poll durations are per-event measurements, not inter-event
-        // deltas: losing one loses a sample without biasing the others'
-        // mean, so only the count is restored.
-        if (s.pollCount > 0)
-            s.pollCount += d_poll;
-        health_.lossCorrectedEvents += d_send + d_recv + d_poll;
-        lossSendSnap_ = loss_send;
-        lossRecvSnap_ = loss_recv;
-        lossPollEnterSnap_ = loss_pe;
-        lossPollExitSnap_ = loss_px;
-    }
-    s.rpsObsv = rpsFromWindow(s.send);
-
-    rpsEstimator_.observe(s.send);
-    s.saturated = saturation_.observe(s.send);
-    if (s.pollCount > 0)
-        slack_.observe(s.pollMeanDurNs);
-    s.slack = slack_.slack();
-    s.health = health_;
-
-    samples_.push_back(s);
-    sendSnap_ = send_now;
-    recvSnap_ = recv_now;
-    pollSnap_ = poll_now;
+    stage_.close(s, start_, now, 1.0, health_);
+    const MetricsSample &out = chain_.observe(s);
+    start_ = now;
     if (config_.sampleHook)
-        config_.sampleHook(s);
-}
-
-double
-ObservabilityAgent::overallObservedRps() const
-{
-    const SyscallStats s = readStats(sendMaps_.statsFd);
-    if (s.count == 0 || s.sumNs == 0)
-        return 0.0;
-    return 1e9 * static_cast<double>(s.count) /
-           static_cast<double>(s.sumNs);
-}
-
-double
-ObservabilityAgent::overallSendVariance() const
-{
-    const SyscallStats s = readStats(sendMaps_.statsFd);
-    return diffStats(SyscallStats{}, s).varianceNs2;
-}
-
-double
-ObservabilityAgent::overallRecvVariance() const
-{
-    const SyscallStats s = readStats(recvMaps_.statsFd);
-    return diffStats(SyscallStats{}, s).varianceNs2;
-}
-
-double
-ObservabilityAgent::overallPollMeanDurationNs() const
-{
-    const SyscallStats s = readStats(pollMaps_.statsFd);
-    if (s.count == 0)
-        return 0.0;
-    return static_cast<double>(s.sumNs) / static_cast<double>(s.count);
-}
-
-std::uint64_t
-ObservabilityAgent::sendSyscalls() const
-{
-    return readStats(sendMaps_.statsFd).count;
+        config_.sampleHook(out);
 }
 
 AgentCheckpoint
 ObservabilityAgent::checkpoint() const
 {
-    AgentCheckpoint c;
-    c.sendSnap = sendSnap_;
-    c.recvSnap = recvSnap_;
-    c.pollSnap = pollSnap_;
-    c.rps = rpsEstimator_;
-    c.saturation = saturation_;
-    c.slack = slack_;
-    c.health = health_;
-    return c;
+    return {start_, chain_.state(), health_};
 }
 
 void
 ObservabilityAgent::restore(const AgentCheckpoint &ckpt)
 {
-    sendSnap_ = ckpt.sendSnap;
-    recvSnap_ = ckpt.recvSnap;
-    pollSnap_ = ckpt.pollSnap;
-    rpsEstimator_ = ckpt.rps;
-    saturation_ = ckpt.saturation;
-    slack_ = ckpt.slack;
+    // This (fresh) runtime's loss counters restart at zero: the window
+    // starts from none lost, and the checkpointed totals become base
+    // offsets.
+    start_ = ckpt.start;
+    start_.loss = ProgramLoss{};
+    chain_.restore(ckpt.estimators);
     // Attach health stays this incarnation's; the cumulative counters
-    // resume from the checkpoint. This (fresh) runtime's loss counters
-    // restart at zero, so the checkpointed totals become base offsets.
+    // resume from the checkpoint.
     health_.staleWindows = ckpt.health.staleWindows;
     health_.discontinuities = ckpt.health.discontinuities;
     health_.lossCorrectedEvents = ckpt.health.lossCorrectedEvents;
-    baseMapUpdateFails_ = ckpt.health.mapUpdateFails;
-    baseRingbufDrops_ = ckpt.health.ringbufDrops;
-    baseProbeMisses_ = ckpt.health.probeMisses;
-    health_.mapUpdateFails = baseMapUpdateFails_ + runtime_->mapUpdateFails();
-    health_.ringbufDrops = baseRingbufDrops_ + runtime_->ringbufDrops();
-    health_.probeMisses = baseProbeMisses_ + runtime_->probeMisses();
-    lossSendSnap_ = {};
-    lossRecvSnap_ = {};
-    lossPollEnterSnap_ = {};
-    lossPollExitSnap_ = {};
+    stage_.lossBase = ckpt.health;
+    stage_.refreshLoss(health_);
 }
 
 } // namespace reqobs::core

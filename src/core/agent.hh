@@ -7,9 +7,12 @@
  * probe pair for the poll syscall), verifies and attaches them to the
  * kernel's raw_syscalls tracepoints, then samples the in-kernel
  * cumulative counters on a fixed period. Each sample with enough new
- * syscalls becomes a MetricsSample feeding the Eq. 1 / Eq. 2 / slack
- * estimators — no userspace cooperation from the observed application
- * anywhere in the path.
+ * syscalls becomes a MetricsSample through the window stage shared with
+ * MultiTenantAgent (core/sampling: differencing, loss correction, the
+ * Eq. 1 / Eq. 2 / slack chain) — no userspace cooperation from the
+ * observed application anywhere in the path. What is this agent's own:
+ * the single-tgid probes, torn-window detection, stale backoff and the
+ * checkpoint/restore hooks the Supervisor drives.
  */
 
 #ifndef REQOBS_CORE_AGENT_HH
@@ -20,15 +23,13 @@
 #include <memory>
 #include <vector>
 
-#include "core/estimators.hh"
 #include "core/profile.hh"
+#include "core/sampling.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
 #include "kernel/kernel.hh"
 
 namespace reqobs::core {
-
-struct MetricsSample;
 
 /** Agent tunables. */
 struct AgentConfig
@@ -103,68 +104,18 @@ struct AgentConfig
 };
 
 /**
- * Agent self-diagnostics, stamped on every MetricsSample and queryable
- * live. Lets consumers of a degraded sample stream distinguish "the
- * application is quiet" from "the observability pipeline is sick".
- */
-struct AgentHealth
-{
-    bool sendAttached = false; ///< send delta probe live
-    bool recvAttached = false; ///< recv delta probe live
-    bool pollAttached = false; ///< both halves of the duration pair live
-    std::uint64_t mapUpdateFails = 0; ///< cumulative failed map updates
-    std::uint64_t ringbufDrops = 0;   ///< cumulative ring-buffer drops
-    std::uint64_t probeMisses = 0;    ///< cumulative missed probe runs
-    std::uint64_t staleWindows = 0;   ///< sample ticks below the window min
-    std::uint64_t discontinuities = 0; ///< torn windows dropped (counter
-                                       ///  resets, restart-spanning windows)
-    std::uint64_t lossCorrectedEvents = 0; ///< events re-added by the
-                                           ///  loss-aware correction
-    unsigned backoffFactor = 1;       ///< current sampling-period multiplier
-
-    /** Any probe family missing or any in-kernel data loss observed. */
-    bool degraded() const
-    {
-        return !sendAttached || !recvAttached || !pollAttached ||
-               mapUpdateFails > 0 || ringbufDrops > 0 || probeMisses > 0 ||
-               discontinuities > 0;
-    }
-};
-
-/** One emitted metrics window. */
-struct MetricsSample
-{
-    sim::Tick t = 0;            ///< sample timestamp
-    DeltaWindow send;           ///< inter-send deltas
-    DeltaWindow recv;           ///< inter-recv deltas
-    double rpsObsv = 0.0;       ///< Eq. 1 on the send window
-    std::uint64_t pollCount = 0;
-    double pollMeanDurNs = 0.0; ///< mean poll-syscall duration
-    bool saturated = false;     ///< detector state after this window
-    double slack = 0.0;         ///< slack estimate after this window
-    AgentHealth health;         ///< pipeline self-diagnostics at emit time
-    /** @name Run-queue latency window (runqlat family). Zeros unless
-     *  AgentConfig::runqlatHistogram under SchedModel::Discrete. @{ */
-    std::uint64_t runqCount = 0; ///< switch-ins bucketed this window
-    double runqP99Ns = 0.0;      ///< window run-queue wait p99 (ns)
-    /** @} */
-};
-
-/**
  * Userspace agent state worth surviving a crash: the window-start
- * counter snapshots plus the estimator accumulators plus the cumulative
- * health counters. Together with the runtime's kernel-side map snapshot
- * (EbpfRuntime::snapshotMaps) this is everything a replacement agent
- * needs to continue the metric stream where the dead one left off.
+ * counter snapshots plus the estimator chain's state (never its
+ * samples: the supervisor checkpoints after every one) plus the
+ * cumulative health counters. Together with the runtime's kernel-side
+ * map snapshot (EbpfRuntime::snapshotMaps) this is everything a
+ * replacement agent needs to continue the metric stream where the dead
+ * one left off.
  */
 struct AgentCheckpoint
 {
-    ebpf::probes::SyscallStats sendSnap{};
-    ebpf::probes::SyscallStats recvSnap{};
-    ebpf::probes::SyscallStats pollSnap{};
-    RpsEstimator rps;
-    SaturationDetector saturation;
-    SlackEstimator slack;
+    WindowMark start; ///< window start (the loss half is not restored)
+    EstimatorState estimators;
     AgentHealth health; ///< cumulative counters at checkpoint time
 };
 
@@ -194,23 +145,47 @@ class ObservabilityAgent
     bool running() const { return running_; }
 
     /** @name Live estimates. @{ */
-    const RpsEstimator &rps() const { return rpsEstimator_; }
-    const SaturationDetector &saturation() const { return saturation_; }
-    const SlackEstimator &slackEstimator() const { return slack_; }
+    const RpsEstimator &rps() const { return chain_.rps(); }
+    const SaturationDetector &saturation() const
+    {
+        return chain_.saturation();
+    }
+    const SlackEstimator &slackEstimator() const
+    {
+        return chain_.slackEstimator();
+    }
     /** @} */
 
     /** All emitted samples. */
-    const std::vector<MetricsSample> &samples() const { return samples_; }
+    const std::vector<MetricsSample> &samples() const
+    {
+        return chain_.samples();
+    }
 
     /** Live pipeline self-diagnostics. */
     const AgentHealth &health() const { return health_; }
 
     /** @name Whole-run aggregates from the cumulative kernel counters. @{ */
-    double overallObservedRps() const;
-    double overallSendVariance() const;
-    double overallRecvVariance() const;
-    double overallPollMeanDurationNs() const;
-    std::uint64_t sendSyscalls() const;
+    double overallObservedRps() const
+    {
+        return overallRps(readStats(sendMaps_.statsFd));
+    }
+    double overallSendVariance() const
+    {
+        return overallVariance(readStats(sendMaps_.statsFd));
+    }
+    double overallRecvVariance() const
+    {
+        return overallVariance(readStats(recvMaps_.statsFd));
+    }
+    double overallPollMeanDurationNs() const
+    {
+        return overallMeanNs(readStats(pollMaps_.statsFd));
+    }
+    std::uint64_t sendSyscalls() const
+    {
+        return readStats(sendMaps_.statsFd).count;
+    }
     /** @} */
 
     ebpf::EbpfRuntime &runtime() { return *runtime_; }
@@ -252,6 +227,8 @@ class ObservabilityAgent
     SyscallProfile profile_;
     AgentConfig config_;
     std::unique_ptr<ebpf::EbpfRuntime> runtime_;
+    WindowStage stage_;
+    MetricChain chain_;
 
     ebpf::probes::DeltaMaps sendMaps_;
     ebpf::probes::DeltaMaps recvMaps_;
@@ -261,42 +238,15 @@ class ObservabilityAgent
     sim::EventId sampleTimer_;
     AgentHealth health_;
     unsigned backoff_ = 1; ///< current samplePeriod multiplier
-
-    /** Snapshot at the start of the currently-accumulating window. */
-    ebpf::probes::SyscallStats sendSnap_{};
-    ebpf::probes::SyscallStats recvSnap_{};
-    ebpf::probes::SyscallStats pollSnap_{};
-
+    /** Counters at the start of the currently-accumulating window. */
+    WindowMark start_;
     bool tearNextWindow_ = false;
-    /** Checkpointed loss totals carried across a restart; this
-     *  runtime's own counters restart at zero. */
-    std::uint64_t baseMapUpdateFails_ = 0;
-    std::uint64_t baseRingbufDrops_ = 0;
-    std::uint64_t baseProbeMisses_ = 0;
-    /** One program's loss counters at the start of the current window. */
-    struct LossSnap
-    {
-        std::uint64_t loss = 0;   ///< misses + map fails + ringbuf drops
-        std::uint64_t misses = 0; ///< pre-filter missed runs
-        std::uint64_t runs = 0;   ///< completed runs (every syscall)
-    };
-    LossSnap lossSendSnap_;
-    LossSnap lossRecvSnap_;
-    LossSnap lossPollEnterSnap_;
-    LossSnap lossPollExitSnap_;
-    LossSnap familySnap(bool attached, const char *name) const;
-    static std::uint64_t lostEvents(const LossSnap &now,
-                                    const LossSnap &snap,
-                                    std::uint64_t window_count);
-
-    RpsEstimator rpsEstimator_;
-    SaturationDetector saturation_;
-    SlackEstimator slack_;
-    std::vector<MetricsSample> samples_;
     /** Teardown guard; last member so it outlives everything above. */
     std::shared_ptr<bool> alive_;
 
     ebpf::probes::SyscallStats readStats(int fd) const;
+    /** The live families' counters now (detached ones read zero). */
+    WindowMark readMark() const;
     void scheduleSample();
     void takeSample();
 };

@@ -272,7 +272,7 @@ runDomainEngine(const ClusterExperimentConfig &config)
             inputs.reserve(agents.size() * config.tenants.size());
             for (std::size_t m = 0; m < agents.size(); ++m) {
                 for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-                    const TenantMetrics &tm = agents[m]->tenant(t);
+                    const MetricChain &tm = agents[m]->tenant(t);
                     ControllerInput in;
                     in.machine = m;
                     in.tenant = t;

@@ -243,10 +243,6 @@ parallelJobsFromEnv()
 
     const char *name = "REQOBS_JOBS";
     const char *env = std::getenv(name);
-    if (!env) {
-        name = "REQOBS_THREADS";
-        env = std::getenv(name);
-    }
     if (!env || *env == '\0')
         return 0;
     // strtoul quietly accepts signs (wrapping negatives) and trailing

@@ -194,9 +194,8 @@ ExperimentConfig sweepPointConfig(const ExperimentConfig &base,
  * bit-identical to a serial runExperiment() call: every experiment owns
  * its entire simulation, so parallelism changes wall time only.
  *
- * @param threads Worker count; 0 = the REQOBS_JOBS env var (canonical;
- *        REQOBS_THREADS is accepted as a legacy alias) if set, else
- *        hardware concurrency. Clamped to [1, configs.size()];
+ * @param threads Worker count; 0 = the REQOBS_JOBS env var if set,
+ *        else hardware concurrency. Clamped to [1, configs.size()];
  *        1 runs serially on the calling thread.
  */
 std::vector<ExperimentResult>
@@ -204,10 +203,10 @@ runExperimentsParallel(const std::vector<ExperimentConfig> &configs,
                        unsigned threads = 0);
 
 /**
- * Worker count requested via the environment: REQOBS_JOBS (canonical),
- * falling back to the legacy REQOBS_THREADS. Returns 0 when neither is
- * set or the value is not a plain unsigned integer (rejected with a
- * one-line stderr warning); values above a sane ceiling clamp.
+ * Worker count requested via the REQOBS_JOBS environment variable.
+ * Returns 0 when it is unset or the value is not a plain unsigned
+ * integer (rejected with a one-line stderr warning); values above a
+ * sane ceiling clamp.
  * Exposed for tests.
  */
 unsigned parallelJobsFromEnv();

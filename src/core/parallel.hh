@@ -22,8 +22,8 @@ namespace reqobs::core {
 
 /**
  * Worker-count resolution shared by all parallel entry points:
- * @p requested if nonzero, else REQOBS_JOBS / REQOBS_THREADS from the
- * environment, else hardware concurrency — clamped to @p jobs.
+ * @p requested if nonzero, else REQOBS_JOBS from the environment, else
+ * hardware concurrency — clamped to @p jobs.
  */
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobs);
 

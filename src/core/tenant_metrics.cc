@@ -8,49 +8,18 @@ namespace reqobs::core {
 
 using ebpf::probes::SyscallStats;
 
-TenantMetrics::TenantMetrics(const AgentConfig &config)
-    : saturation_(config.saturation), slack_(config.slack)
-{}
-
-MetricsSample
-TenantMetrics::observe(sim::Tick t, const DeltaWindow &send,
-                       const DeltaWindow &recv, std::uint64_t poll_count,
-                       double poll_mean_dur_ns, const AgentHealth &health,
-                       std::uint64_t runq_count, double runq_p99_ns)
-{
-    MetricsSample s;
-    s.t = t;
-    s.send = send;
-    s.recv = recv;
-    s.pollCount = poll_count;
-    s.pollMeanDurNs = poll_mean_dur_ns;
-    s.health = health;
-    s.runqCount = runq_count;
-    s.runqP99Ns = runq_p99_ns;
-    s.rpsObsv = rpsFromWindow(send);
-
-    rps_.observe(send);
-    s.saturated = saturation_.observe(send);
-    if (poll_count > 0)
-        slack_.observe(poll_mean_dur_ns);
-    s.slack = slack_.slack();
-
-    samples_.push_back(s);
-    return s;
-}
-
 MultiTenantAgent::MultiTenantAgent(kernel::Kernel &kernel,
                                    std::vector<TenantBinding> tenants,
                                    const AgentConfig &config)
     : kernel_(kernel), tenants_(std::move(tenants)), config_(config),
+      runtime_(std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime)),
+      stage_(*runtime_, config.lossAware),
+      chains_(tenants_.size(),
+              MetricChain(config.saturation, config.slack)),
       alive_(std::make_shared<bool>(true))
 {
     if (tenants_.empty())
         sim::fatal("MultiTenantAgent: need at least one tenant");
-    runtime_ = std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime);
-    metrics_.reserve(tenants_.size());
-    for (std::size_t i = 0; i < tenants_.size(); ++i)
-        metrics_.push_back(std::make_unique<TenantMetrics>(config));
 }
 
 MultiTenantAgent::~MultiTenantAgent()
@@ -143,45 +112,11 @@ MultiTenantAgent::start()
     health_.sendAttached = true;
     health_.recvAttached = true;
     health_.pollAttached = true;
-    sendSnap_.assign(tenants_.size(), SyscallStats{});
-    recvSnap_.assign(tenants_.size(), SyscallStats{});
-    pollSnap_.assign(tenants_.size(), SyscallStats{});
+    start_.assign(tenants_.size(), WindowMark{});
     runqSnap_.assign(tenants_.size(),
                      std::vector<std::uint64_t>(
                          ebpf::probes::kRunqlatBuckets, 0));
-    lossSendSnap_.assign(tenants_.size(), LossSnap{});
-    lossRecvSnap_.assign(tenants_.size(), LossSnap{});
-    lossPollEnterSnap_.assign(tenants_.size(), LossSnap{});
-    lossPollExitSnap_.assign(tenants_.size(), LossSnap{});
     scheduleSample();
-}
-
-MultiTenantAgent::LossSnap
-MultiTenantAgent::familySnap(const char *name) const
-{
-    return {runtime_->probeLoss(name), runtime_->probeMissesFor(name),
-            runtime_->probeRunsFor(name)};
-}
-
-std::uint64_t
-MultiTenantAgent::lostEvents(const LossSnap &now, const LossSnap &snap,
-                             std::uint64_t window_count, double share)
-{
-    // Same reconstruction as ObservabilityAgent::lostEvents, with one
-    // multi-tenant twist: in-program losses are counted program-wide,
-    // and the program is shared by every tenant, so each tenant claims
-    // only its share of this tick's fresh events. Misses strike before
-    // the filter and are already prorated by the tenant's
-    // events-per-run ratio.
-    const std::uint64_t d_inprog =
-        (now.loss - now.misses) - (snap.loss - snap.misses);
-    const std::uint64_t d_miss = now.misses - snap.misses;
-    const std::uint64_t d_runs = now.runs - snap.runs;
-    std::uint64_t est = static_cast<std::uint64_t>(
-        static_cast<double>(d_inprog) * share + 0.5);
-    if (d_miss > 0 && d_runs > 0)
-        est += (window_count * d_miss + d_runs / 2) / d_runs;
-    return est;
 }
 
 void
@@ -217,129 +152,52 @@ MultiTenantAgent::scheduleSample()
 void
 MultiTenantAgent::takeSample()
 {
-    const sim::Tick now = kernel_.sim().now();
+    const sim::Tick t = kernel_.sim().now();
 
     // First pass: read every tenant's slots and total the fresh events,
     // so loss proration knows each emitting tenant's share of the tick.
-    std::vector<SyscallStats> send_now(tenants_.size());
-    std::vector<SyscallStats> recv_now(tenants_.size());
-    std::vector<SyscallStats> poll_now(tenants_.size());
+    // The loss counters are program-wide: one read serves every tenant.
+    const ProgramLoss loss = stage_.readLoss(health_);
+    std::vector<WindowMark> now(tenants_.size());
     std::uint64_t total_fresh = 0;
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
-        send_now[i] = readSlot(sendMaps_.statsFd, i);
-        recv_now[i] = readSlot(recvMaps_.statsFd, i);
-        poll_now[i] = readSlot(pollMaps_.statsFd, i);
-        total_fresh += send_now[i].count - sendSnap_[i].count;
-    }
-
-    if (config_.lossAware) {
-        health_.mapUpdateFails = runtime_->mapUpdateFails();
-        health_.ringbufDrops = runtime_->ringbufDrops();
-        health_.probeMisses = runtime_->probeMisses();
+        now[i] = {readSlot(sendMaps_.statsFd, i),
+                  readSlot(recvMaps_.statsFd, i),
+                  readSlot(pollMaps_.statsFd, i), loss};
+        total_fresh += now[i].send.count - start_[i].send.count;
     }
 
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
         // Per-tenant freshness gate: a quiet tenant keeps accumulating
         // its window while busy neighbours sample normally.
-        const std::uint64_t fresh = send_now[i].count - sendSnap_[i].count;
+        const std::uint64_t fresh = now[i].send.count - start_[i].send.count;
         if (fresh < config_.minWindowSyscalls) {
             ++health_.staleWindows;
             continue;
         }
-
-        DeltaWindow send = diffStats(sendSnap_[i], send_now[i]);
-        DeltaWindow recv = diffStats(recvSnap_[i], recv_now[i]);
-        std::uint64_t poll_count = 0;
-        double poll_mean = 0.0;
-        if (poll_now[i].count > pollSnap_[i].count &&
-            poll_now[i].sumNs >= pollSnap_[i].sumNs) {
-            poll_count = poll_now[i].count - pollSnap_[i].count;
-            poll_mean =
-                static_cast<double>(poll_now[i].sumNs -
-                                    pollSnap_[i].sumNs) /
-                static_cast<double>(poll_count);
-        }
-        if (config_.lossAware) {
-            const double share =
-                total_fresh > 0 ? static_cast<double>(fresh) /
-                                      static_cast<double>(total_fresh)
-                                : 0.0;
-            const LossSnap loss_send = familySnap("send.delta_exit");
-            const LossSnap loss_recv = familySnap("recv.delta_exit");
-            const LossSnap loss_pe = familySnap("poll.duration_enter");
-            const LossSnap loss_px = familySnap("poll.duration_exit");
-            const std::uint64_t d_send =
-                lostEvents(loss_send, lossSendSnap_[i], send.count, share);
-            const std::uint64_t d_recv =
-                lostEvents(loss_recv, lossRecvSnap_[i], recv.count, share);
-            const std::uint64_t d_poll =
-                lostEvents(loss_pe, lossPollEnterSnap_[i], poll_count,
-                           share) +
-                lostEvents(loss_px, lossPollExitSnap_[i], poll_count,
-                           share);
-            send = correctForLoss(send, d_send);
-            recv = correctForLoss(recv, d_recv);
-            if (poll_count > 0)
-                poll_count += d_poll;
-            health_.lossCorrectedEvents += d_send + d_recv + d_poll;
-            lossSendSnap_[i] = loss_send;
-            lossRecvSnap_[i] = loss_recv;
-            lossPollEnterSnap_[i] = loss_pe;
-            lossPollExitSnap_[i] = loss_px;
-        }
-        std::uint64_t runq_count = 0;
-        double runq_p99 = 0.0;
+        MetricsSample s;
+        s.t = t;
         if (config_.runqlatHistogram) {
             std::vector<std::uint64_t> hist = ebpf::probes::readRunqlatHist(
                 *runtime_, runqMaps_, static_cast<std::uint32_t>(i));
             std::vector<std::uint64_t> window(hist.size(), 0);
             for (std::size_t b = 0; b < hist.size(); ++b) {
                 window[b] = hist[b] - runqSnap_[i][b];
-                runq_count += window[b];
+                s.runqCount += window[b];
             }
-            if (runq_count > 0)
-                runq_p99 = static_cast<double>(
+            if (s.runqCount > 0)
+                s.runqP99Ns = static_cast<double>(
                     ebpf::probes::runqlatQuantile(window, 0.99));
             runqSnap_[i] = std::move(hist);
         }
-        metrics_[i]->observe(now, send, recv, poll_count, poll_mean,
-                             health_, runq_count, runq_p99);
-        sendSnap_[i] = send_now[i];
-        recvSnap_[i] = recv_now[i];
-        pollSnap_[i] = poll_now[i];
+        const double share = total_fresh > 0
+                                 ? static_cast<double>(fresh) /
+                                       static_cast<double>(total_fresh)
+                                 : 0.0;
+        stage_.close(s, start_[i], now[i], share, health_);
+        chains_[i].observe(s);
+        start_[i] = now[i];
     }
-}
-
-double
-MultiTenantAgent::overallObservedRps(std::size_t i) const
-{
-    const SyscallStats s = readSlot(sendMaps_.statsFd, i);
-    if (s.count == 0 || s.sumNs == 0)
-        return 0.0;
-    return 1e9 * static_cast<double>(s.count) /
-           static_cast<double>(s.sumNs);
-}
-
-double
-MultiTenantAgent::overallSendVariance(std::size_t i) const
-{
-    const SyscallStats s = readSlot(sendMaps_.statsFd, i);
-    return diffStats(SyscallStats{}, s).varianceNs2;
-}
-
-double
-MultiTenantAgent::overallPollMeanDurationNs(std::size_t i) const
-{
-    const SyscallStats s = readSlot(pollMaps_.statsFd, i);
-    if (s.count == 0)
-        return 0.0;
-    return static_cast<double>(s.sumNs) / static_cast<double>(s.count);
-}
-
-std::uint64_t
-MultiTenantAgent::sendSyscalls(std::size_t i) const
-{
-    return readSlot(sendMaps_.statsFd, i).count;
 }
 
 double

@@ -50,11 +50,6 @@ struct ExecEnv
     sim::Rng *rng = nullptr;   ///< bpf_get_prandom_u32()
     /** Optional fault injection for map/ringbuf helpers (may be null). */
     fault::FaultInjector *fault = nullptr;
-    /**
-     * Simulated CPU the program runs on: selects the shard of per-CPU
-     * maps. Tracepoint dispatch always runs programs on CPU 0.
-     */
-    std::uint32_t cpu = 0;
 };
 
 } // namespace reqobs::ebpf

@@ -57,16 +57,6 @@ EbpfRuntime::createSketchMap(std::uint32_t key_size, std::uint32_t stages,
         std::make_unique<SketchMap>(key_size, stages, width, name));
 }
 
-int
-EbpfRuntime::createPerCpuArrayMap(std::uint32_t value_size,
-                                  std::uint32_t max_entries,
-                                  std::uint32_t cpus, const std::string &name)
-{
-    return createMap(
-        std::make_unique<PerCpuArrayMap>(value_size, max_entries, cpus,
-                                         name));
-}
-
 Map &
 EbpfRuntime::mapAt(int fd) const
 {

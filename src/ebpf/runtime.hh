@@ -99,9 +99,6 @@ class EbpfRuntime
     int createRingBuf(std::uint32_t capacity_bytes, const std::string &name);
     int createSketchMap(std::uint32_t key_size, std::uint32_t stages,
                         std::uint32_t width, const std::string &name);
-    int createPerCpuArrayMap(std::uint32_t value_size,
-                             std::uint32_t max_entries, std::uint32_t cpus,
-                             const std::string &name);
 
     /** Map by fd; fatal on unknown fd. */
     Map &mapAt(int fd) const;

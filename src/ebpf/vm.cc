@@ -240,7 +240,7 @@ Vm::run(const ProgramSpec &prog, std::uint8_t *ctx, std::uint32_t ctx_len,
                                   : 0;
                     break;
                   case helper::kMapLookupElem:
-                    err = callMapLookup(reg, env);
+                    err = callMapLookup(reg);
                     break;
                   case helper::kMapUpdateElem:
                     err = callMapUpdate(reg, env, res);
@@ -630,7 +630,7 @@ Vm::run(const TranslatedProgram &prog, std::uint8_t *ctx,
                 failRun(res, pc, "map_lookup: bad key pointer");
                 return res;
             }
-            std::uint8_t *val = mapLookupHot(m, key, env.cpu);
+            std::uint8_t *val = mapLookupHot(m, key);
             reg[R0] = reinterpret_cast<std::uint64_t>(val);
             if (val) {
                 addMapValueRegion(val, m->valueSize());
@@ -749,13 +749,13 @@ L_budget:
 #undef REQOBS_CHARGE
 
 const char *
-Vm::callMapLookup(std::uint64_t *reg, ExecEnv &env)
+Vm::callMapLookup(std::uint64_t *reg)
 {
     Map *map = reinterpret_cast<Map *>(reg[R1]);
     const std::uint8_t *key = checkAccess(reg[R2], map->keySize(), false);
     if (!key)
         return "map_lookup: bad key pointer";
-    std::uint8_t *val = mapLookupHot(map, key, env.cpu);
+    std::uint8_t *val = mapLookupHot(map, key);
     reg[R0] = reinterpret_cast<std::uint64_t>(val);
     if (val)
         addMapValueRegion(val, map->valueSize());

@@ -2,14 +2,12 @@
  * @file
  * Host-speed machinery: the native compiler must cover the whole probe
  * library by bytecode alone (and run only under the Native engine),
- * per-CPU array shards must fold to the unsharded totals, the persistent
- * worker pool must return bit-identical experiment results across
+ * the persistent worker pool must return bit-identical experiment results across
  * reuse, and the parallel cluster engine must be deterministic.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -19,7 +17,6 @@
 #include "core/cluster.hh"
 #include "core/experiment.hh"
 #include "ebpf/assembler.hh"
-#include "ebpf/maps.hh"
 #include "ebpf/native.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
@@ -167,50 +164,6 @@ TEST(NativeEngine, NonLibraryProgramFallsBackToTranslated)
     EXPECT_EQ(nat.events, xlt.events);
     EXPECT_EQ(nat.insns, xlt.insns);
     EXPECT_EQ(nat.cost, xlt.cost);
-}
-
-TEST(PerCpuArrayMapTest, ShardsAreIndependentAndFoldToTheTotal)
-{
-    ebpf::PerCpuArrayMap m(8, 2, 4, "t");
-    EXPECT_EQ(m.cpus(), 4u);
-
-    // Userspace update writes every shard (bpf syscall semantics).
-    const std::uint32_t key = 1;
-    const std::uint64_t seed = 100;
-    EXPECT_EQ(0, m.put(key, seed));
-    for (std::uint32_t cpu = 0; cpu < 4; ++cpu)
-        EXPECT_EQ(m.shardAt<std::uint64_t>(cpu, key), seed);
-
-    // In-kernel writes through lookupShard stay shard-private.
-    for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
-        auto *p = m.lookupShard(
-            reinterpret_cast<const std::uint8_t *>(&key), cpu);
-        ASSERT_NE(p, nullptr);
-        std::uint64_t v;
-        std::memcpy(&v, p, 8);
-        v += cpu;
-        std::memcpy(p, &v, 8);
-    }
-    std::uint64_t total = 0;
-    for (std::uint32_t cpu = 0; cpu < 4; ++cpu)
-        total += m.shardAt<std::uint64_t>(cpu, key);
-    EXPECT_EQ(total, 4 * seed + 0 + 1 + 2 + 3);
-
-    // lookup() is shard 0; cpu wraps mod cpus; erase is -EINVAL.
-    std::uint64_t shard0;
-    std::memcpy(&shard0,
-                m.lookup(reinterpret_cast<const std::uint8_t *>(&key)), 8);
-    EXPECT_EQ(shard0, seed);
-    EXPECT_EQ(m.shardAt<std::uint64_t>(5, key),
-              m.shardAt<std::uint64_t>(1, key));
-    EXPECT_EQ(m.remove(key), -22);
-
-    // Out-of-range slot: null lookup, update rejected with -E2BIG.
-    const std::uint32_t bad = 7;
-    EXPECT_EQ(m.lookupShard(reinterpret_cast<const std::uint8_t *>(&bad),
-                            0),
-              nullptr);
-    EXPECT_EQ(m.put(bad, seed), -7);
 }
 
 TEST(WorkerPoolTest, ReusedPoolReturnsBitIdenticalResults)

@@ -4,20 +4,27 @@
  * under supervision, crash/restart recovery with checkpoint + map
  * restore, wipe discontinuity handling, the stall watchdog, the
  * circuit breaker with deterministic jittered backoff, and the
- * loss-aware window correction.
+ * loss-aware window correction — including the window stage both
+ * agents share, driven through a two-tenant MultiTenantAgent.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
 #include "client/load_generator.hh"
 #include "core/experiment.hh"
 #include "core/profile.hh"
+#include "core/sampling.hh"
 #include "core/supervisor.hh"
+#include "core/tenant_metrics.hh"
 #include "fault/fault.hh"
+#include "workload/machine.hh"
 #include "workload/server_app.hh"
 
 namespace reqobs {
@@ -287,6 +294,188 @@ TEST(SupervisorTest, LossAwareCorrectionRecoversEq1UnderProbeMisses)
     expectNoCorruptWindows(corrected);
 }
 
+/** What one two-tenant MultiTenantAgent run reports. */
+struct TwoTenantRun
+{
+    std::vector<std::vector<MetricsSample>> samples; ///< per tenant
+    /** Send-family exits per tenant up to its last sample, as the
+     *  kernel dispatched them. */
+    std::vector<std::uint64_t> kernelSends;
+    core::AgentHealth health;
+    std::uint64_t runtimeMapUpdateFails = 0;
+};
+
+/**
+ * Two data-caching tenants (70% and 45% load) on one machine under a
+ * MultiTenantAgent whose runtime alone gets @p plan's eBPF faults. The
+ * run ends exactly on a sample tick.
+ */
+TwoTenantRun
+runTwoTenants(const fault::FaultPlan &plan, bool loss_aware)
+{
+    TwoTenantRun out;
+    std::vector<std::vector<sim::Tick>> exits(2);
+    sim::Simulation sim(29);
+    workload::Machine machine(sim);
+    workload::WorkloadConfig wl = workload::workloadByName("data-caching");
+    wl.saturationRps = std::min(wl.saturationRps, 4000.0);
+    std::vector<core::TenantBinding> bindings;
+    std::vector<std::unique_ptr<client::LoadGenerator>> gens;
+    for (const double load : {0.7, 0.45}) {
+        workload::ServerApp &app = machine.addTenant(wl);
+        bindings.push_back({wl.name, app.frontPid(), core::profileFor(wl)});
+        client::ClientConfig cc;
+        cc.offeredRps = load * wl.saturationRps;
+        gens.push_back(std::make_unique<client::LoadGenerator>(
+            sim, app, net::NetemConfig{}, net::TcpConfig{}, cc));
+    }
+
+    // Ground truth from the kernel's side of the tracepoint: a plain
+    // probe the fault plan never reaches, costing nothing.
+    const std::vector<std::int64_t> family = bindings[0].profile.sendFamily;
+    const kernel::Pid tgids[] = {bindings[0].tgid, bindings[1].tgid};
+    machine.kernel().tracepoints().attach(
+        kernel::TracepointId::SysExit,
+        [&](const kernel::RawSyscallEvent &ev) -> sim::Tick {
+            if (std::find(family.begin(), family.end(), ev.syscall) ==
+                family.end())
+                return 0;
+            for (std::size_t i = 0; i < 2; ++i)
+                if (kernel::tgidOf(ev.pidTgid) == tgids[i])
+                    exits[i].push_back(ev.timestamp);
+            return 0;
+        });
+
+    core::AgentConfig ac;
+    ac.lossAware = loss_aware;
+    fault::FaultInjector injector(plan, sim.forkRng());
+    core::MultiTenantAgent agent(machine.kernel(), std::move(bindings), ac);
+    agent.runtime().setFaultInjector(&injector);
+    machine.start();
+    agent.start();
+    for (auto &g : gens)
+        g->start();
+    sim.runUntil(15 * ac.samplePeriod);
+
+    out.health = agent.health();
+    out.runtimeMapUpdateFails = agent.runtime().mapUpdateFails();
+    for (std::size_t i = 0; i < 2; ++i) {
+        const std::vector<MetricsSample> &ss = agent.tenant(i).samples();
+        EXPECT_GT(ss.size(), 3u);
+        const sim::Tick last = ss.empty() ? 0 : ss.back().t;
+        out.samples.push_back(ss);
+        out.kernelSends.push_back(static_cast<std::uint64_t>(
+            std::count_if(exits[i].begin(), exits[i].end(),
+                          [last](sim::Tick t) { return t <= last; })));
+    }
+    agent.stop();
+    return out;
+}
+
+std::uint64_t
+windowedSends(const std::vector<MetricsSample> &samples)
+{
+    std::uint64_t n = 0;
+    for (const MetricsSample &s : samples)
+        n += s.send.count;
+    return n;
+}
+
+TEST(WindowStageTest, ShareOneKeepsTheIntegerLossRule)
+{
+    // The single-tenant agent's rule, integer throughout: in-program
+    // losses taken exactly, misses scaled by recorded events per run
+    // with round-half-up. Shared lostEvents at share 1 must equal it
+    // bit for bit — the single agent's identity condition.
+    auto integer_rule = [](const core::LossSnap &now,
+                           const core::LossSnap &snap, std::uint64_t n) {
+        const std::uint64_t d_inprog =
+            (now.loss - now.misses) - (snap.loss - snap.misses);
+        const std::uint64_t d_miss = now.misses - snap.misses;
+        const std::uint64_t d_runs = now.runs - snap.runs;
+        std::uint64_t est = d_inprog;
+        if (d_miss > 0 && d_runs > 0)
+            est += (n * d_miss + d_runs / 2) / d_runs;
+        return est;
+    };
+    const std::uint64_t b40 = 1ull << 40;
+    const std::uint64_t b60 = 1ull << 60;
+    struct Case
+    {
+        core::LossSnap now, snap;
+        std::uint64_t window;
+    };
+    const Case cases[] = {
+        {{0, 0, 0}, {0, 0, 0}, 0},
+        {{7, 0, 50}, {2, 0, 10}, 30},        // in-program only
+        {{9, 9, 100}, {3, 3, 40}, 17},       // misses only, rounds
+        {{25, 10, 400}, {5, 2, 100}, 123},   // both
+        {{b40 + 13, 5, b40 + 77}, {3, 1, 77}, 999},
+        {{b40 + 3, b40 + 1, 2 * b40 + 5}, {2, 1, 5}, 1u << 20},
+        {{b40 - 1, b40 - 2, b40}, {0, 0, 1}, 1000},
+        {{b60 + 1, 0, 0}, {0, 0, 0}, 0},     // beyond double precision
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(core::lostEvents(c.now, c.snap, c.window, 1.0),
+                  integer_rule(c.now, c.snap, c.window));
+
+    // Below 1, the share prorates the in-program part only.
+    EXPECT_EQ(core::lostEvents({100, 0, 0}, {}, 0, 0.25), 25u);
+    EXPECT_EQ(core::lostEvents({100, 40, 200}, {}, 50, 0.5),
+              30u + 10u); // 60 in-program * 0.5, 50 * 40 / 200 missed
+}
+
+TEST(MultiTenantLossTest, LossCountersRefreshWithoutLossAwareness)
+{
+    // Health reports in-kernel loss whether or not the estimators
+    // correct for it: a sick pipeline must not read clean.
+    fault::FaultPlan plan;
+    plan.mapUpdateFailProbability = 0.05;
+    const TwoTenantRun r = runTwoTenants(plan, /*loss_aware=*/false);
+    EXPECT_GT(r.runtimeMapUpdateFails, 0u);
+    EXPECT_EQ(r.health.mapUpdateFails, r.runtimeMapUpdateFails);
+    EXPECT_EQ(r.health.lossCorrectedEvents, 0u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto degraded = std::count_if(
+            r.samples[i].begin(), r.samples[i].end(),
+            [](const MetricsSample &s) { return s.health.degraded(); });
+        EXPECT_GT(degraded, 0);
+    }
+
+    // A clean run keeps every counter at zero.
+    const TwoTenantRun clean = runTwoTenants({}, false);
+    EXPECT_FALSE(clean.health.degraded());
+    EXPECT_EQ(clean.health.mapUpdateFails, 0u);
+    for (const auto &samples : clean.samples)
+        for (const MetricsSample &s : samples)
+            EXPECT_FALSE(s.health.degraded());
+}
+
+TEST(MultiTenantLossTest, LossAwareProrationRecoversEachTenantsSendCount)
+{
+    // 20% of probe runs are missed. Each tenant's raw windows undercount
+    // its sends; the loss-aware windows, prorated per tenant, land
+    // closer to what the kernel actually dispatched for that tgid.
+    fault::FaultPlan plan;
+    plan.probeMissProbability = 0.2;
+    const TwoTenantRun raw = runTwoTenants(plan, false);
+    const TwoTenantRun corrected = runTwoTenants(plan, true);
+    EXPECT_GT(corrected.health.lossCorrectedEvents, 0u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
+        // Loss awareness is userspace-only: one kernel truth.
+        ASSERT_EQ(raw.kernelSends[i], corrected.kernelSends[i]);
+        const double truth = static_cast<double>(raw.kernelSends[i]);
+        const double raw_n =
+            static_cast<double>(windowedSends(raw.samples[i]));
+        const double corr_n =
+            static_cast<double>(windowedSends(corrected.samples[i]));
+        EXPECT_LT(raw_n / truth, 0.9);
+        EXPECT_LT(std::abs(corr_n - truth), std::abs(raw_n - truth));
+        EXPECT_NEAR(corr_n / truth, 1.0, 0.05);
+    }
+}
+
 TEST(SupervisorTest, MapSnapshotRestoreRoundTrips)
 {
     // Run a supervised crashy experiment whose every restart restores
@@ -326,8 +515,8 @@ TEST(SupervisorTest, JobsEnvParsingRejectsGarbageAndClampsCeiling)
 
     EXPECT_EQ(with_env(nullptr, nullptr), 0u);
     EXPECT_EQ(with_env("12", nullptr), 12u);
-    EXPECT_EQ(with_env(nullptr, "6"), 6u); // legacy alias honoured
-    EXPECT_EQ(with_env("4", "9"), 4u);     // canonical name wins
+    EXPECT_EQ(with_env(nullptr, "6"), 0u); // REQOBS_THREADS is ignored
+    EXPECT_EQ(with_env("4", "9"), 4u);     // ... also next to REQOBS_JOBS
     EXPECT_EQ(with_env("abc", nullptr), 0u);
     EXPECT_EQ(with_env("12abc", nullptr), 0u);
     EXPECT_EQ(with_env("", nullptr), 0u);
