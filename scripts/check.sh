@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full pre-merge check: Release build + tier-1 tests, the figure-bench
-# golden hashes and the benchmark's output digests, sanitizer build +
-# tier-1 tests, then the gated host-perf report (BENCH_perf.json), the
-# gated scale report (BENCH_scale.json), the closed-loop control report
-# (BENCH_control.json), the front-door storm report
-# (BENCH_frontdoor.json) and the run-queue-latency report
+# golden hashes, the benchmark's output digests and native share,
+# sanitizer build + tier-1 tests, then the gated host-perf report
+# (BENCH_perf.json), the gated scale report (BENCH_scale.json), the
+# closed-loop control report (BENCH_control.json), the front-door storm
+# report (BENCH_frontdoor.json) and the run-queue-latency report
 # (BENCH_runqlat.json) at the repo root. Run from anywhere; all paths
 # are repo-relative.
 #
@@ -103,7 +103,18 @@ for wl in fig-sweep fleet-runq storm-door; do
         echo "perfbench $wl: output digests do not match" >&2
         exit 1
     fi
-    echo "$wl: $(grep '^# digest:' "$tmp/perfbench-$wl")"
+    # The engines are result-identical, so a probe that silently lost
+    # its native kernel would still reproduce every digest: require
+    # every attached program to run native.
+    if ! tail -n 1 "$tmp/perfbench-$wl" | python3 -c '
+import json, sys
+metrics = json.loads(sys.stdin.read())["metrics"]
+sys.exit(0 if metrics["ebpf.native_share"]["value"] == 1 else 1)'; then
+        cat "$tmp/perfbench-$wl"
+        echo "perfbench $wl: ebpf.native_share is not 1" >&2
+        exit 1
+    fi
+    echo "$wl: $(grep '^# digest:' "$tmp/perfbench-$wl"), native_share 1"
 done
 
 if [ "$run_sanitize" = 1 ]; then

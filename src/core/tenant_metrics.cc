@@ -115,7 +115,7 @@ MultiTenantAgent::start()
     start_.assign(tenants_.size(), WindowMark{});
     runqSnap_.assign(tenants_.size(),
                      std::vector<std::uint64_t>(
-                         ebpf::probes::kRunqlatBuckets, 0));
+                         ebpf::probes::kHistBuckets, 0));
     scheduleSample();
 }
 
@@ -178,8 +178,8 @@ MultiTenantAgent::takeSample()
         MetricsSample s;
         s.t = t;
         if (config_.runqlatHistogram) {
-            std::vector<std::uint64_t> hist = ebpf::probes::readRunqlatHist(
-                *runtime_, runqMaps_, static_cast<std::uint32_t>(i));
+            std::vector<std::uint64_t> hist = ebpf::probes::readHist(
+                *runtime_, runqMaps_.histFd, static_cast<std::uint32_t>(i));
             std::vector<std::uint64_t> window(hist.size(), 0);
             for (std::size_t b = 0; b < hist.size(); ++b) {
                 window[b] = hist[b] - runqSnap_[i][b];
@@ -187,7 +187,8 @@ MultiTenantAgent::takeSample()
             }
             if (s.runqCount > 0)
                 s.runqP99Ns = static_cast<double>(
-                    ebpf::probes::runqlatQuantile(window, 0.99));
+                    ebpf::probes::histQuantile(window, 0.99,
+                                               ebpf::probes::kRunqlatShift));
             runqSnap_[i] = std::move(hist);
         }
         const double share = total_fresh > 0
@@ -205,10 +206,10 @@ MultiTenantAgent::overallRunqP99Ns(std::size_t i) const
 {
     if (runqMaps_.histFd < 0)
         return 0.0;
-    return static_cast<double>(ebpf::probes::runqlatQuantile(
-        ebpf::probes::readRunqlatHist(*runtime_, runqMaps_,
-                                      static_cast<std::uint32_t>(i)),
-        0.99));
+    return static_cast<double>(ebpf::probes::histQuantile(
+        ebpf::probes::readHist(*runtime_, runqMaps_.histFd,
+                               static_cast<std::uint32_t>(i)),
+        0.99, ebpf::probes::kRunqlatShift));
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>>

@@ -1,15 +1,15 @@
 /**
  * @file
- * Shape-specialised native kernels and the recogniser that maps library
- * probes onto them (see native.hh for the contract).
+ * Shape-specialised native kernels and the binder that attaches a
+ * library probe's shape to one of them (see native.hh for the contract).
  *
  * Every kernel retires the exact instruction count the interpreter
  * would on the same control-flow path: the counters are accumulated
  * incrementally, one `n += k` per emitted run of straight-line
- * bytecode, mirroring the structure of the probes::emit functions
- * line for line. Fault-injection draws happen at the same helper-call
- * sites in the same order, so differential runs with a shared
- * fault-injector RNG stay aligned across engines.
+ * bytecode, mirroring the stages of probes::emit line for line.
+ * Fault-injection draws happen at the same helper-call sites in the
+ * same order, so differential runs with a shared fault-injector RNG
+ * stay aligned across engines.
  */
 
 #include "ebpf/native.hh"
@@ -150,9 +150,9 @@ matchTenant(const NativeProgram &p, std::uint64_t tgid_hi, std::uint64_t id,
             bool match_poll, std::uint64_t &n)
 {
     n += 3; // ldxdw r6, mov r7, rsh r7
-    for (std::size_t t = 0; t < p.tenantCmp.size(); ++t) {
+    for (std::size_t t = 0; t < p.tgidCmp.size(); ++t) {
         ++n; // jeq tenant t
-        if (tgid_hi == p.tenantCmp[t]) {
+        if (tgid_hi == p.tgidCmp[t]) {
             if (match_poll) {
                 ++n; // jne poll syscall
                 if (id != p.pollCmp[t])
@@ -176,9 +176,9 @@ matchTenantSlot(const NativeProgram &p, std::uint64_t tgid_hi,
                 std::uint64_t &n)
 {
     n += 2; // mov r7, rsh r7 (pid_tgid preloaded in r6)
-    for (std::size_t t = 0; t < p.tenantCmp.size(); ++t) {
+    for (std::size_t t = 0; t < p.tgidCmp.size(); ++t) {
         ++n; // jeq tenant t
-        if (tgid_hi == p.tenantCmp[t]) {
+        if (tgid_hi == p.tgidCmp[t]) {
             n += 2; // movImm r7 slot, ja tenant_body
             return static_cast<int>(t);
         }
@@ -205,6 +205,117 @@ log2Bucket16(std::uint64_t v, std::uint64_t &n)
     return 15;
 }
 
+// ---------------------------------------------------------------- stages
+// The stages below are the native twins of the probes.cc emit* stages
+// named in their comments and retire the instructions those emit.
+
+/** stamp[key] = val, BPF_ANY, with the VM's injected-pressure gate. */
+inline void
+putStamp(const NativeProgram &p, std::uint64_t key, std::uint64_t val,
+         ExecEnv &env, NativeResult &res)
+{
+    gatedMapUpdate(p.stamp, bytes(&key), bytes(&val), BPF_ANY, env, res);
+}
+
+/** emitStampNow: stamp[pid_tgid] = bpf_ktime_get_ns(). */
+inline void
+stampNow(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
+         NativeResult &res, std::uint64_t &n)
+{
+    n += 10; // ktime, 2 stores, ld_map_fd, 4 arg insns, mov flags, call
+    putStamp(p, ctx.pidTgid, env.nowNs, env, res);
+}
+
+/**
+ * emitTakeStamp, from the lookup on (the key is already on the stack):
+ * @p interval = now - stamp[key], deleting the stamp. False when the
+ * stamp is missing, or clock-inverted under @p guarded.
+ */
+inline bool
+takeStamp(const NativeProgram &p, std::uint64_t key, std::uint64_t now,
+          bool guarded, std::uint64_t &interval, std::uint64_t &n)
+{
+    n += 5; // ld_map_fd, mov, add, call lookup, jeq null
+    std::uint8_t *sv = mapLookupHot(p.stamp, bytes(&key));
+    if (!sv)
+        return false;
+    n += 1; // ldxdw r3 = *stamp
+    std::uint64_t then;
+    std::memcpy(&then, sv, 8);
+    if (guarded) {
+        n += 1; // jgt: skip the clock-inverted pair
+        if (then > now)
+            return false;
+    }
+    n += 2; // mov r8, sub
+    interval = now - then;
+    n += 4; // delete: ld_map_fd, mov, add, call
+    mapEraseHot(p.stamp, bytes(&key));
+    return true;
+}
+
+/** emitDurationTail: take the entry stamp, accumulate into stats[idx]. */
+inline void
+durationTail(const NativeProgram &p, const TraceCtx &ctx, std::uint32_t idx,
+             std::uint64_t &n)
+{
+    n += 2; // ldxdw r9 = ctx->ts, stxdw key
+    std::uint64_t dur;
+    if (!takeStamp(p, ctx.pidTgid, ctx.ts, p.shape.guarded, dur, n))
+        return;
+    n += 6; // slot key, ld_map_fd, mov, add, call lookup, jeq null
+    std::uint8_t *slot = mapLookupHot(p.out, bytes(&idx));
+    if (!slot)
+        return;
+    n += 13; // duration body
+    accumulateDuration(slot, dur, p.shape.shift);
+}
+
+/** emitDeltaTail: accumulate the inter-event delta into stats[idx]. */
+inline void
+deltaTail(const NativeProgram &p, const TraceCtx &ctx, std::uint32_t idx,
+          std::uint64_t &n)
+{
+    if (p.shape.guarded) {
+        n += 2; // ldxdw ret, jslt: failed syscalls excluded
+        if (ctx.ret < 0)
+            return;
+    }
+    n += 7; // ldxdw r9 = ctx->ts, slot key, ld_map_fd, mov, add, call, jeq
+    std::uint8_t *slot = mapLookupHot(p.out, bytes(&idx));
+    if (!slot)
+        return;
+    n += runDeltaBody(slot, ctx.ts, p.shape.shift, p.shape.guarded);
+}
+
+/**
+ * emitStampToHistogram, from the stamp lookup on (the key is already on
+ * the stack): take the stamp under @p key, bucket now - stamp into
+ * tenant @p t's log2 row, and count it.
+ */
+inline void
+stampToHistogram(const NativeProgram &p, std::uint64_t key,
+                 std::uint64_t now, int t, std::uint64_t &n)
+{
+    std::uint64_t wait;
+    if (!takeStamp(p, key, now, /*guarded=*/false, wait, n))
+        return;
+    n += 2; // rsh shift, movImm r6 0
+    const unsigned bucket = log2Bucket16(wait >> (p.shape.shift & 63), n);
+    n += 2; // lsh r7, add
+    const std::uint32_t idx =
+        static_cast<std::uint32_t>(t) * probes::kHistBuckets + bucket;
+    n += 6; // stx idx, ld_map_fd, mov, add, call lookup, jeq null
+    std::uint8_t *slot = mapLookupHot(p.out, bytes(&idx));
+    if (!slot)
+        return;
+    n += 3; // ldxdw, addImm, stxdw
+    std::uint64_t c;
+    std::memcpy(&c, slot, 8);
+    c += 1;
+    std::memcpy(slot, &c, 8);
+}
+
 // --------------------------------------------------------------- kernels
 
 void
@@ -212,17 +323,10 @@ runDurationEnter(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
                  NativeResult &res)
 {
     std::uint64_t n = 4; // ldxdw r6, mov r7, rsh, jne tgid
-    if ((ctx.pidTgid >> 32) == p.tgidCmp) {
+    if ((ctx.pidTgid >> 32) == p.tgidCmp[0]) {
         n += 2; // ldxdw r8 id, jne syscall
-        if (ctx.id == p.syscallCmp) {
-            // ktime, 2 key/value stores, ld_map_fd, 4 arg insns, mov
-            // flags, call update
-            n += 10;
-            const std::uint64_t key = ctx.pidTgid;
-            const std::uint64_t val = env.nowNs;
-            gatedMapUpdate(p.start, bytes(&key), bytes(&val), BPF_ANY, env,
-                           res);
-        }
+        if (ctx.id == p.syscallCmp[0])
+            stampNow(p, ctx, env, res, n);
     }
     res.insns += n + 2; // out: mov r0, exit
 }
@@ -232,38 +336,11 @@ runDurationExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &,
                 NativeResult &res)
 {
     std::uint64_t n = 4; // tgid filter
-    do {
-        if ((ctx.pidTgid >> 32) != p.tgidCmp)
-            break;
+    if ((ctx.pidTgid >> 32) == p.tgidCmp[0]) {
         n += 2; // ldxdw r8 id, jne syscall
-        if (ctx.id != p.syscallCmp)
-            break;
-        n += 1; // ldxdw r9 = ctx->ts
-        const std::uint64_t key = ctx.pidTgid;
-        n += 6; // stxdw key, ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key));
-        if (!sv)
-            break;
-        n += 1; // ldxdw r3 = *start_ns
-        std::uint64_t startNs;
-        std::memcpy(&startNs, sv, 8);
-        if (p.guarded) {
-            n += 1; // jgt: skip clock-inverted sample
-            if (startNs > ctx.ts)
-                break;
-        }
-        n += 2; // mov r8, sub
-        const std::uint64_t dur = ctx.ts - startNs;
-        n += 4; // delete: ld_map_fd, mov, add, call
-        mapEraseHot(p.start, bytes(&key));
-        n += 6; // st idx0, ld_map_fd, mov, add, call lookup, jeq null
-        const std::uint32_t idx = 0;
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
-        if (!slot)
-            break;
-        n += 13; // duration body
-        accumulateDuration(slot, dur, p.shift);
-    } while (false);
+        if (ctx.id == p.syscallCmp[0])
+            durationTail(p, ctx, 0, n);
+    }
     res.insns += n + 2; // out: mov r0, exit
 }
 
@@ -272,25 +349,11 @@ runDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &,
              NativeResult &res)
 {
     std::uint64_t n = 1; // ldxdw r8 id
-    do {
-        if (!matchFamily(p.familyCmp, ctx.id, n))
-            break;
+    if (matchFamily(p.syscallCmp, ctx.id, n)) {
         n += 4; // tgid filter
-        if ((ctx.pidTgid >> 32) != p.tgidCmp)
-            break;
-        if (p.guarded) {
-            n += 2; // ldxdw ret, jslt: failed syscalls excluded
-            if (ctx.ret < 0)
-                break;
-        }
-        n += 1; // ldxdw r9 = ctx->ts
-        n += 6; // st idx0, ld_map_fd, mov, add, call lookup, jeq null
-        const std::uint32_t idx = 0;
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
-        if (!slot)
-            break;
-        n += runDeltaBody(slot, ctx.ts, p.shift, p.guarded);
-    } while (false);
+        if ((ctx.pidTgid >> 32) == p.tgidCmp[0])
+            deltaTail(p, ctx, 0, n);
+    }
     res.insns += n + 2; // out: mov r0, exit
 }
 
@@ -299,26 +362,12 @@ runTenantDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &,
                    NativeResult &res)
 {
     std::uint64_t n = 1; // ldxdw r8 id
-    do {
-        if (!matchFamily(p.familyCmp, ctx.id, n))
-            break;
+    if (matchFamily(p.syscallCmp, ctx.id, n)) {
         const int t =
             matchTenant(p, ctx.pidTgid >> 32, 0, /*match_poll=*/false, n);
-        if (t < 0)
-            break;
-        if (p.guarded) {
-            n += 2; // ldxdw ret, jslt
-            if (ctx.ret < 0)
-                break;
-        }
-        n += 1; // ldxdw r9 = ctx->ts
-        n += 6; // stx slot, ld_map_fd, mov, add, call lookup, jeq null
-        const std::uint32_t idx = static_cast<std::uint32_t>(t);
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
-        if (!slot)
-            break;
-        n += runDeltaBody(slot, ctx.ts, p.shift, p.guarded);
-    } while (false);
+        if (t >= 0)
+            deltaTail(p, ctx, static_cast<std::uint32_t>(t), n);
+    }
     res.insns += n + 2; // out: mov r0, exit
 }
 
@@ -328,7 +377,7 @@ runTenantHeavyHitter(const NativeProgram &p, const TraceCtx &ctx,
 {
     std::uint64_t n = 1; // ldxdw r8 id
     do {
-        if (!matchFamily(p.familyCmp, ctx.id, n))
+        if (!matchFamily(p.syscallCmp, ctx.id, n))
             break;
         const int t =
             matchTenant(p, ctx.pidTgid >> 32, 0, /*match_poll=*/false, n);
@@ -336,7 +385,7 @@ runTenantHeavyHitter(const NativeProgram &p, const TraceCtx &ctx,
             break;
         n += 6; // stx key, ld_map_fd, mov, add, call lookup, jeq insert
         const std::uint32_t key = static_cast<std::uint32_t>(t);
-        std::uint8_t *v = mapLookupHot(p.sketch, bytes(&key));
+        std::uint8_t *v = mapLookupHot(p.out, bytes(&key));
         if (v) {
             n += 4; // ldxdw, addImm, stxdw, ja out: resident increment
             std::uint64_t c;
@@ -347,7 +396,7 @@ runTenantHeavyHitter(const NativeProgram &p, const TraceCtx &ctx,
             // stImm 1, ld_map_fd, mov, add, mov, add, movImm flags, call
             n += 8;
             const std::uint64_t one = 1;
-            gatedMapUpdate(p.sketch, bytes(&key), bytes(&one), 0, env, res);
+            gatedMapUpdate(p.out, bytes(&key), bytes(&one), 0, env, res);
         }
     } while (false);
     res.insns += n + 2; // out: mov r0, exit
@@ -360,13 +409,8 @@ runTenantDurationEnter(const NativeProgram &p, const TraceCtx &ctx,
     std::uint64_t n = 1; // ldxdw r8 id (pre-prologue: stubs match poll)
     const int t =
         matchTenant(p, ctx.pidTgid >> 32, ctx.id, /*match_poll=*/true, n);
-    if (t >= 0) {
-        // ktime, 2 stores, ld_map_fd, 4 arg insns, mov flags, call
-        n += 10;
-        const std::uint64_t key = ctx.pidTgid;
-        const std::uint64_t val = env.nowNs;
-        gatedMapUpdate(p.start, bytes(&key), bytes(&val), BPF_ANY, env, res);
-    }
+    if (t >= 0)
+        stampNow(p, ctx, env, res, n);
     res.insns += n + 2; // out: mov r0, exit
 }
 
@@ -375,93 +419,21 @@ runTenantDurationExit(const NativeProgram &p, const TraceCtx &ctx,
                       ExecEnv &, NativeResult &res)
 {
     std::uint64_t n = 1; // ldxdw r8 id
-    do {
-        const int t =
-            matchTenant(p, ctx.pidTgid >> 32, ctx.id, /*match_poll=*/true, n);
-        if (t < 0)
-            break;
-        n += 1; // ldxdw r9 = ctx->ts
-        const std::uint64_t key = ctx.pidTgid;
-        n += 6; // stxdw key, ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key));
-        if (!sv)
-            break;
-        n += 1; // ldxdw r3 = *start_ns
-        std::uint64_t startNs;
-        std::memcpy(&startNs, sv, 8);
-        if (p.guarded) {
-            n += 1; // jgt
-            if (startNs > ctx.ts)
-                break;
-        }
-        n += 2; // mov r8, sub
-        const std::uint64_t dur = ctx.ts - startNs;
-        n += 4; // delete: ld_map_fd, mov, add, call
-        mapEraseHot(p.start, bytes(&key));
-        n += 6; // stx slot, ld_map_fd, mov, add, call lookup, jeq null
-        const std::uint32_t idx = static_cast<std::uint32_t>(t);
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
-        if (!slot)
-            break;
-        n += 13; // duration body
-        accumulateDuration(slot, dur, p.shift);
-    } while (false);
+    const int t =
+        matchTenant(p, ctx.pidTgid >> 32, ctx.id, /*match_poll=*/true, n);
+    if (t >= 0)
+        durationTail(p, ctx, static_cast<std::uint32_t>(t), n);
     res.insns += n + 2; // out: mov r0, exit
 }
 
-/**
- * Stamp-to-histogram tail shared by the runqlat switch and front-door
- * accept kernels, from the stamp lookup on (the key is already on the
- * stack): take and delete the stamp under @p key, bucket now - stamp
- * into tenant @p t's log2 row, and count it.
- */
-inline void
-stampToHistogram(const NativeProgram &p, std::uint64_t key,
-                 std::uint64_t now, int t, std::uint64_t &n)
-{
-    n += 5; // ld_map_fd, mov, add, call lookup, jeq null
-    std::uint8_t *sv = mapLookupHot(p.start, bytes(&key));
-    if (!sv)
-        return;
-    n += 1; // ldxdw r3 = *stamp
-    std::uint64_t stamp;
-    std::memcpy(&stamp, sv, 8);
-    n += 2; // mov r8, sub
-    const std::uint64_t wait = now - stamp;
-    n += 4; // delete: ld_map_fd, mov, add, call
-    mapEraseHot(p.start, bytes(&key));
-    n += 2; // rsh shift, movImm r6 0
-    const unsigned bucket = log2Bucket16(wait >> (p.shift & 63), n);
-    n += 2; // lsh r7, add
-    const std::uint32_t idx =
-        static_cast<std::uint32_t>(t) * probes::kRunqlatBuckets + bucket;
-    n += 6; // stx idx, ld_map_fd, mov, add, call lookup, jeq null
-    std::uint8_t *slot = mapLookupHot(p.hist, bytes(&idx));
-    if (!slot)
-        return;
-    n += 3; // ldxdw, addImm, stxdw
-    std::uint64_t c;
-    std::memcpy(&c, slot, 8);
-    c += 1;
-    std::memcpy(slot, &c, 8);
-}
-
-static_assert(probes::kRunqlatBuckets == probes::kFrontDoorBuckets,
-              "stampToHistogram serves both histogram layouts");
-
-/**
- * ctx->id -> ctx->ts stamp. The runqlat wakeup and front-door ingress
- * emitters produce the same bytes, so both run this kernel.
- */
+/** ctx->id -> ctx->ts stamp: the runqlat wakeup and front-door ingress. */
 void
 runIdStamp(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
            NativeResult &res)
 {
     // 2 ctx loads + 2 stores, ld_map_fd, 4 arg insns, mov flags, call
     std::uint64_t n = 11;
-    const std::uint64_t key = ctx.id;
-    const std::uint64_t val = ctx.ts;
-    gatedMapUpdate(p.start, bytes(&key), bytes(&val), BPF_ANY, env, res);
+    putStamp(p, ctx.id, ctx.ts, env, res);
     res.insns += n + 2; // out: mov r0, exit
 }
 
@@ -474,10 +446,7 @@ runRunqlatSwitch(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         // Preempted prev: 2 stores, ld_map_fd, 4 arg insns, mov flags,
         // call update
         n += 9;
-        const std::uint64_t key = ctx.id;
-        const std::uint64_t val = ctx.ts;
-        gatedMapUpdate(p.start, bytes(&key), bytes(&val), BPF_ANY, env,
-                       res);
+        putStamp(p, ctx.id, ctx.ts, env, res);
     }
     const int t = matchTenantSlot(p, ctx.pidTgid >> 32, n);
     if (t >= 0) {
@@ -506,7 +475,7 @@ runStream(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
           NativeResult &res)
 {
     std::uint64_t n = 4; // tgid filter
-    if ((ctx.pidTgid >> 32) == p.tgidCmp) {
+    if ((ctx.pidTgid >> 32) == p.tgidCmp[0]) {
         // 8 record-assembly insns + ld_map_fd, mov, add, 2 movImm, call
         n += 14;
         probes::StreamRecord rec;
@@ -514,78 +483,14 @@ runStream(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         rec.pidTgid = ctx.pidTgid;
         rec.ts = ctx.ts;
         rec.ret = ctx.ret;
-        rec.point = p.exitPoint ? 1 : 0;
-        gatedRingbufOutput(p.ring, bytes(&rec), sizeof(rec), env, res);
+        rec.point = p.shape.exitPoint ? 1 : 0;
+        gatedRingbufOutput(static_cast<RingBufMap *>(p.out), bytes(&rec),
+                           sizeof(rec), env, res);
     }
     res.insns += n + 2; // out: mov r0, exit
 }
 
-// ------------------------------------------------------------ recogniser
-
-constexpr std::uint8_t kJneK = BPF_JMP | BPF_JNE | BPF_K;
-constexpr std::uint8_t kJeqK = BPF_JMP | BPF_JEQ | BPF_K;
-constexpr std::uint8_t kRshK = BPF_ALU64 | BPF_RSH | BPF_K;
-
-/** Immediates of jump insns with @p opcode on register @p dst. */
-std::vector<std::int32_t>
-jumpImms(const std::vector<Insn> &insns, std::uint8_t opcode, int dst)
-{
-    std::vector<std::int32_t> out;
-    for (const Insn &i : insns)
-        if (i.opcode == opcode && i.dst == dst)
-            out.push_back(i.imm);
-    return out;
-}
-
-/** Map fds referenced by ld_map_fd pseudo instructions, stream order. */
-std::vector<int>
-mapFds(const std::vector<Insn> &insns)
-{
-    std::vector<int> out;
-    for (std::size_t i = 0; i + 1 < insns.size(); ++i)
-        if (insns[i].cls() == BPF_LD && insns[i].memSize() == BPF_DW &&
-            insns[i].src == BPF_PSEUDO_MAP_FD)
-            out.push_back(insns[i].imm);
-    return out;
-}
-
-/**
- * Immediate of the last rsh-by-constant: the filter prologue right
- * shifts by 32, every accumulate body shifts by the probe's
- * quantisation amount afterwards — so for the shapes that need it, the
- * last one is the shift.
- */
-int
-lastRshImm(const std::vector<Insn> &insns)
-{
-    int v = -1;
-    for (const Insn &i : insns)
-        if (i.opcode == kRshK)
-            v = i.imm;
-    return v;
-}
-
-/**
- * Candidate emitter parameters, read off the bytecode once and offered
- * to every recogniser. A wrong guess can only fail the re-emission
- * check, never mis-compile.
- */
-struct Operands
-{
-    explicit Operands(const std::vector<Insn> &insns)
-        : tgid(jumpImms(insns, kJneK, R7)), syscall(jumpImms(insns, kJneK, R8)),
-          family(jumpImms(insns, kJeqK, R8)),
-          tenants(jumpImms(insns, kJeqK, R7)), fds(mapFds(insns)),
-          shift(lastRshImm(insns))
-    {}
-
-    std::vector<std::int32_t> tgid;    ///< jne r7: single-tgid filter
-    std::vector<std::int32_t> syscall; ///< jne r8: syscall or poll chain
-    std::vector<std::int32_t> family;  ///< jeq r8: syscall-family chain
-    std::vector<std::int32_t> tenants; ///< jeq r7: tenant tgid chain
-    std::vector<int> fds;
-    int shift;
-};
+// ---------------------------------------------------------------- binder
 
 bool
 sameInsns(const std::vector<Insn> &a, const std::vector<Insn> &b)
@@ -602,9 +507,9 @@ findMap(const ProgramSpec &spec, int fd)
     return it == spec.maps.end() ? nullptr : it->second;
 }
 
-/** pid_tgid (u64) -> ts (u64) start map. */
+/** pid_tgid / tid / flow (u64) -> ts (u64) stamp map. */
 bool
-startMapOk(const Map *m)
+stampMapOk(const Map *m)
 {
     return m && m->keySize() == 8 && m->valueSize() == 8;
 }
@@ -624,341 +529,93 @@ countMapOk(const Map *m)
     return m && m->keySize() == 4 && m->valueSize() == 8;
 }
 
+/** Ring buffer for stream records. */
+bool
+ringMapOk(const Map *m)
+{
+    return m && m->type() == MapType::RingBuf;
+}
+
+/** A kernel and the checks its two map slots must pass (null: unused). */
+struct Kernel
+{
+    NativeProgram::Fn fn;
+    const char *name;
+    bool (*stampOk)(const Map *);
+    bool (*outOk)(const Map *);
+};
+
+Kernel
+kernelFor(ProbeKind kind)
+{
+    switch (kind) {
+    case ProbeKind::DurationEnter:
+        return {runDurationEnter, "duration_enter", stampMapOk, nullptr};
+    case ProbeKind::DurationExit:
+        return {runDurationExit, "duration_exit", stampMapOk, statsMapOk};
+    case ProbeKind::DeltaExit:
+        return {runDeltaExit, "delta_exit", nullptr, statsMapOk};
+    case ProbeKind::TenantDurationEnter:
+        return {runTenantDurationEnter, "tenant_duration_enter", stampMapOk,
+                nullptr};
+    case ProbeKind::TenantDurationExit:
+        return {runTenantDurationExit, "tenant_duration_exit", stampMapOk,
+                statsMapOk};
+    case ProbeKind::TenantDeltaExit:
+        return {runTenantDeltaExit, "tenant_delta_exit", nullptr, statsMapOk};
+    case ProbeKind::TenantHeavyHitter:
+        return {runTenantHeavyHitter, "tenant_heavy_hitter", nullptr,
+                countMapOk};
+    case ProbeKind::Stream:
+        return {runStream, "stream", nullptr, ringMapOk};
+    case ProbeKind::IdStamp:
+        return {runIdStamp, "id_stamp", stampMapOk, nullptr};
+    case ProbeKind::RunqlatSwitch:
+        return {runRunqlatSwitch, "runqlat_switch", stampMapOk, countMapOk};
+    case ProbeKind::FrontDoorAccept:
+        return {runFrontDoorAccept, "front_door_accept", stampMapOk,
+                countMapOk};
+    }
+    return {};
+}
+
+template <typename T>
 std::vector<std::uint64_t>
-signExtended(const std::vector<std::int32_t> &imms)
+signExtended(const std::vector<T> &values)
 {
     std::vector<std::uint64_t> out;
-    for (std::int32_t v : imms)
-        out.push_back(sx(v));
+    for (T v : values)
+        out.push_back(sx(static_cast<std::int32_t>(v)));
     return out;
 }
-
-/** Tenant set as re-emission input: tgids from the jeq chain, polls
- * from the stub jne chain (empty unless the shape matches polls). */
-probes::TenantSet
-tenantSetFrom(const std::vector<std::int32_t> &tgids,
-              const std::vector<std::int32_t> &polls)
-{
-    probes::TenantSet ts;
-    for (std::int32_t t : tgids)
-        ts.tgids.push_back(static_cast<std::uint32_t>(t));
-    if (polls.empty())
-        ts.pollSyscalls.assign(tgids.size(), 0); // unused by the emitter
-    else
-        for (std::int32_t p : polls)
-            ts.pollSyscalls.push_back(p);
-    return ts;
-}
-
-bool
-matchDurationEnter(const ProgramSpec &spec, const Operands &op,
-                   NativeProgram *out)
-{
-    if (op.tgid.size() != 1 || op.syscall.size() != 1 || op.fds.size() != 1)
-        return false;
-    if (!sameInsns(spec.insns, probes::emit::durationEnter(
-                                   static_cast<std::uint32_t>(op.tgid[0]),
-                                   op.syscall[0], op.fds[0])))
-        return false;
-    Map *start = findMap(spec, op.fds[0]);
-    if (!startMapOk(start))
-        return false;
-    out->fn = runDurationEnter;
-    out->shape = "duration_enter";
-    out->tgidCmp = sx(op.tgid[0]);
-    out->syscallCmp = sx(op.syscall[0]);
-    out->start = start;
-    return true;
-}
-
-bool
-matchDurationExit(const ProgramSpec &spec, const Operands &op,
-                  NativeProgram *out)
-{
-    if (op.tgid.size() != 1 || op.syscall.size() != 1 ||
-        op.fds.size() != 3 || op.shift < 0)
-        return false;
-    for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::durationExit(
-                           static_cast<std::uint32_t>(op.tgid[0]),
-                           op.syscall[0], op.fds[0], op.fds[2],
-                           static_cast<unsigned>(op.shift), g)))
-            continue;
-        Map *start = findMap(spec, op.fds[0]);
-        Map *stats = findMap(spec, op.fds[2]);
-        if (!startMapOk(start) || !statsMapOk(stats))
-            return false;
-        out->fn = runDurationExit;
-        out->shape = "duration_exit";
-        out->tgidCmp = sx(op.tgid[0]);
-        out->syscallCmp = sx(op.syscall[0]);
-        out->shift = static_cast<unsigned>(op.shift);
-        out->guarded = g;
-        out->start = start;
-        out->stats = stats;
-        return true;
-    }
-    return false;
-}
-
-bool
-matchDeltaExit(const ProgramSpec &spec, const Operands &op,
-               NativeProgram *out)
-{
-    if (op.family.empty() || op.tgid.size() != 1 || op.fds.size() != 1 ||
-        op.shift < 0)
-        return false;
-    const std::vector<std::int64_t> family(op.family.begin(),
-                                           op.family.end());
-    for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::deltaExit(
-                           static_cast<std::uint32_t>(op.tgid[0]), family,
-                           op.fds[0], static_cast<unsigned>(op.shift), g)))
-            continue;
-        Map *stats = findMap(spec, op.fds[0]);
-        if (!statsMapOk(stats))
-            return false;
-        out->fn = runDeltaExit;
-        out->shape = "delta_exit";
-        out->tgidCmp = sx(op.tgid[0]);
-        out->shift = static_cast<unsigned>(op.shift);
-        out->guarded = g;
-        out->stats = stats;
-        out->familyCmp = signExtended(op.family);
-        return true;
-    }
-    return false;
-}
-
-bool
-matchTenantDeltaExit(const ProgramSpec &spec, const Operands &op,
-                     NativeProgram *out)
-{
-    if (op.family.empty() || op.tenants.empty() || op.fds.size() != 1 ||
-        op.shift < 0)
-        return false;
-    const std::vector<std::int64_t> family(op.family.begin(),
-                                           op.family.end());
-    const probes::TenantSet ts = tenantSetFrom(op.tenants, {});
-    for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::tenantDeltaExit(
-                           ts, family, op.fds[0],
-                           static_cast<unsigned>(op.shift), g)))
-            continue;
-        Map *stats = findMap(spec, op.fds[0]);
-        if (!statsMapOk(stats))
-            return false;
-        out->fn = runTenantDeltaExit;
-        out->shape = "tenant_delta_exit";
-        out->shift = static_cast<unsigned>(op.shift);
-        out->guarded = g;
-        out->stats = stats;
-        out->familyCmp = signExtended(op.family);
-        out->tenantCmp = signExtended(op.tenants);
-        return true;
-    }
-    return false;
-}
-
-bool
-matchTenantHeavyHitter(const ProgramSpec &spec, const Operands &op,
-                       NativeProgram *out)
-{
-    if (op.family.empty() || op.tenants.empty() || op.fds.size() != 2)
-        return false;
-    const std::vector<std::int64_t> family(op.family.begin(),
-                                           op.family.end());
-    if (!sameInsns(spec.insns, probes::emit::tenantHeavyHitter(
-                                   tenantSetFrom(op.tenants, {}), family,
-                                   op.fds[0])))
-        return false;
-    Map *sketch = findMap(spec, op.fds[0]);
-    if (!countMapOk(sketch))
-        return false;
-    out->fn = runTenantHeavyHitter;
-    out->shape = "tenant_heavy_hitter";
-    out->sketch = sketch;
-    out->familyCmp = signExtended(op.family);
-    out->tenantCmp = signExtended(op.tenants);
-    return true;
-}
-
-bool
-matchTenantDurationEnter(const ProgramSpec &spec, const Operands &op,
-                         NativeProgram *out)
-{
-    if (op.tenants.empty() || op.syscall.size() != op.tenants.size() ||
-        op.fds.size() != 1)
-        return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::tenantDurationEnter(
-                       tenantSetFrom(op.tenants, op.syscall), op.fds[0])))
-        return false;
-    Map *start = findMap(spec, op.fds[0]);
-    if (!startMapOk(start))
-        return false;
-    out->fn = runTenantDurationEnter;
-    out->shape = "tenant_duration_enter";
-    out->start = start;
-    out->tenantCmp = signExtended(op.tenants);
-    out->pollCmp = signExtended(op.syscall);
-    return true;
-}
-
-bool
-matchTenantDurationExit(const ProgramSpec &spec, const Operands &op,
-                        NativeProgram *out)
-{
-    if (op.tenants.empty() || op.syscall.size() != op.tenants.size() ||
-        op.fds.size() != 3 || op.shift < 0)
-        return false;
-    const probes::TenantSet ts = tenantSetFrom(op.tenants, op.syscall);
-    for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::tenantDurationExit(
-                           ts, op.fds[0], op.fds[2],
-                           static_cast<unsigned>(op.shift), g)))
-            continue;
-        Map *start = findMap(spec, op.fds[0]);
-        Map *stats = findMap(spec, op.fds[2]);
-        if (!startMapOk(start) || !statsMapOk(stats))
-            return false;
-        out->fn = runTenantDurationExit;
-        out->shape = "tenant_duration_exit";
-        out->shift = static_cast<unsigned>(op.shift);
-        out->guarded = g;
-        out->start = start;
-        out->stats = stats;
-        out->tenantCmp = signExtended(op.tenants);
-        out->pollCmp = signExtended(op.syscall);
-        return true;
-    }
-    return false;
-}
-
-bool
-matchStream(const ProgramSpec &spec, const Operands &op, NativeProgram *out)
-{
-    if (op.tgid.size() != 1 || op.fds.size() != 1)
-        return false;
-    for (bool exit_point : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::streamProbe(
-                           static_cast<std::uint32_t>(op.tgid[0]),
-                           exit_point, op.fds[0])))
-            continue;
-        Map *ring = findMap(spec, op.fds[0]);
-        if (!ring || ring->type() != MapType::RingBuf)
-            return false;
-        out->fn = runStream;
-        out->shape = exit_point ? "stream_exit" : "stream_enter";
-        out->tgidCmp = sx(op.tgid[0]);
-        out->exitPoint = exit_point;
-        out->ring = static_cast<RingBufMap *>(ring);
-        return true;
-    }
-    return false;
-}
-
-bool
-matchIdStamp(const ProgramSpec &spec, const Operands &op, NativeProgram *out)
-{
-    if (op.fds.size() != 1)
-        return false;
-    if (!sameInsns(spec.insns, probes::emit::runqlatWakeup(op.fds[0])))
-        return false;
-    Map *stamp = findMap(spec, op.fds[0]);
-    if (!startMapOk(stamp))
-        return false;
-    out->fn = runIdStamp;
-    out->shape = "id_stamp";
-    out->start = stamp;
-    return true;
-}
-
-bool
-matchRunqlatSwitch(const ProgramSpec &spec, const Operands &op,
-                   NativeProgram *out)
-{
-    // Stream order: prev re-stamp, lookup, delete (all the stamp map),
-    // then the histogram.
-    if (op.tenants.empty() || op.fds.size() != 4 || op.shift < 0 ||
-        op.fds[0] != op.fds[1] || op.fds[0] != op.fds[2])
-        return false;
-    if (!sameInsns(spec.insns, probes::emit::runqlatSwitch(
-                                   tenantSetFrom(op.tenants, {}), op.fds[0],
-                                   op.fds[3],
-                                   static_cast<unsigned>(op.shift))))
-        return false;
-    Map *stamp = findMap(spec, op.fds[0]);
-    Map *hist = findMap(spec, op.fds[3]);
-    if (!startMapOk(stamp) || !countMapOk(hist))
-        return false;
-    out->fn = runRunqlatSwitch;
-    out->shape = "runqlat_switch";
-    out->shift = static_cast<unsigned>(op.shift);
-    out->start = stamp;
-    out->hist = hist;
-    out->tenantCmp = signExtended(op.tenants);
-    return true;
-}
-
-bool
-matchFrontDoorAccept(const ProgramSpec &spec, const Operands &op,
-                     NativeProgram *out)
-{
-    // Stream order: lookup, delete (both the ingress map), histogram.
-    if (op.tenants.empty() || op.fds.size() != 3 || op.shift < 0 ||
-        op.fds[0] != op.fds[1])
-        return false;
-    if (!sameInsns(spec.insns, probes::emit::frontDoorAccept(
-                                   tenantSetFrom(op.tenants, {}), op.fds[0],
-                                   op.fds[2],
-                                   static_cast<unsigned>(op.shift))))
-        return false;
-    Map *stamp = findMap(spec, op.fds[0]);
-    Map *hist = findMap(spec, op.fds[2]);
-    if (!startMapOk(stamp) || !countMapOk(hist))
-        return false;
-    out->fn = runFrontDoorAccept;
-    out->shape = "front_door_accept";
-    out->shift = static_cast<unsigned>(op.shift);
-    out->start = stamp;
-    out->hist = hist;
-    out->tenantCmp = signExtended(op.tenants);
-    return true;
-}
-
-using Recogniser = bool (*)(const ProgramSpec &, const Operands &,
-                            NativeProgram *);
-
-constexpr Recogniser kRecognisers[] = {
-    matchDurationEnter,     matchDurationExit,
-    matchDeltaExit,         matchTenantDeltaExit,
-    matchTenantHeavyHitter, matchTenantDurationEnter,
-    matchTenantDurationExit, matchStream,
-    matchIdStamp,           matchRunqlatSwitch,
-    matchFrontDoorAccept,
-};
 
 } // namespace
 
 bool
 compileNative(const ProgramSpec &spec, NativeProgram *out)
 {
-    // Every recogniser gets a try; only a byte-exact re-emission
-    // accepts, so any match is a kernel for exactly these bytes.
-    const Operands op(spec.insns);
-    for (Recogniser match : kRecognisers) {
-        *out = NativeProgram{};
-        if (match(spec, op, out))
-            return true;
-    }
     *out = NativeProgram{};
-    return false;
+    if (!spec.shape)
+        return false;
+    const ProbeShape &shape = *spec.shape;
+    // The one re-emission: a kernel only ever runs the exact bytes it
+    // was written for.
+    if (!sameInsns(spec.insns, probes::emit(shape)))
+        return false;
+    const Kernel k = kernelFor(shape.kind);
+    Map *stamp = findMap(spec, shape.stampFd);
+    Map *acc = findMap(spec, shape.outFd);
+    if ((k.stampOk && !k.stampOk(stamp)) || (k.outOk && !k.outOk(acc)))
+        return false;
+    out->fn = k.fn;
+    out->kernel = k.name;
+    out->shape = shape;
+    out->stamp = stamp;
+    out->out = acc;
+    out->tgidCmp = signExtended(shape.tenants.tgids);
+    out->pollCmp = signExtended(shape.tenants.pollSyscalls);
+    out->syscallCmp = signExtended(shape.syscalls);
+    return true;
 }
 
 } // namespace reqobs::ebpf

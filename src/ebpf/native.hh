@@ -6,16 +6,16 @@
  * a fused direct-threaded IR and still pays one indirect dispatch per
  * instruction, the native engine compiles a probe to a directly
  * callable, shape-specialised C++ kernel — zero dispatch, the whole
- * program is one function call. Compilation is recognition from the
- * bytecode alone: the compiler extracts candidate parameters (tgids,
- * syscall ids, map fds, shift) from the instruction stream, and each
- * recogniser in turn re-emits its probe shape (every guard variant)
- * through the same probes::emit function the library builders use,
- * accepting only a byte-identical re-emission. The program's name plays
- * no part, so renamed probes compile too. A program therefore gets a
- * native kernel if and only if it is literally a library probe;
- * everything else (fuzzed programs, DSL tracelets, hand-written
- * bytecode) runs on the translated engine.
+ * program is one function call. Compilation binds a shape: a library
+ * builder (probes.hh) stores the ProbeShape it emitted the bytecode
+ * from in the ProgramSpec, and the compiler picks the kernel from the
+ * shape's kind, resolves and checks its maps, and re-emits once from
+ * the shape, accepting only a byte-identical instruction stream. A
+ * program therefore runs a native kernel if and only if it carries a
+ * shape and its bytes are exactly that shape's; the name plays no part.
+ * Everything else (fuzzed programs, DSL tracelets, hand-written
+ * bytecode, even a byte-for-byte copy of a library probe built without
+ * its shape) runs on the translated engine.
  *
  * The kernels preserve the interpreter contract exactly: same r0, same
  * retired-instruction counts on every control-flow path (the cost model
@@ -48,45 +48,34 @@ struct NativeResult
     std::uint64_t ringbufDrops = 0;
 };
 
-/**
- * A compiled probe: one kernel function plus the parameters extracted
- * from its bytecode. Comparand fields are pre-sign-extended exactly as
- * the VM sign-extends 32-bit jump immediates, so kernels compare u64 ==
- * u64 with no per-event conversion.
- */
+/** A bound probe: one kernel plus the shape it runs. */
 struct NativeProgram
 {
     using Fn = void (*)(const NativeProgram &, const TraceCtx &, ExecEnv &,
                         NativeResult &);
 
-    Fn fn = nullptr;          ///< null: program did not compile
-    const char *shape = "";   ///< kernel name, for diagnostics
+    Fn fn = nullptr;         ///< null: program did not compile
+    const char *kernel = ""; ///< kernel name, e.g. "delta_exit"
+    ProbeShape shape;        ///< shift, guarded, exitPoint as emitted
+    Map *stamp = nullptr;    ///< shape.stampFd, resolved
+    Map *out = nullptr;      ///< shape.outFd, resolved
 
-    std::uint64_t tgidCmp = 0;    ///< sign-extended tgid immediate
-    std::uint64_t syscallCmp = 0; ///< sign-extended syscall immediate
-    unsigned shift = 0;           ///< Σx² quantisation shift
-    bool guarded = false;         ///< defensive-bytecode variant
-    bool exitPoint = false;       ///< stream probes: sys_exit records
-
-    Map *start = nullptr;     ///< duration/wakeup start map (hash)
-    Map *stats = nullptr;     ///< stats array
-    Map *sketch = nullptr;    ///< heavy-hitter sketch
-    Map *hist = nullptr;      ///< log2-bucket histogram array
-    RingBufMap *ring = nullptr;
-
-    /** Sign-extended syscall-family immediates, chain order. */
-    std::vector<std::uint64_t> familyCmp;
-    /** Sign-extended tenant tgid immediates; index = stats slot. */
-    std::vector<std::uint64_t> tenantCmp;
-    /** Sign-extended per-tenant poll-syscall immediates. */
-    std::vector<std::uint64_t> pollCmp;
+    /**
+     * shape.tenants.tgids, shape.tenants.pollSyscalls and shape.syscalls,
+     * sign-extended once at bind exactly as the VM sign-extends 32-bit
+     * jump immediates, so kernels compare u64 == u64 with no per-event
+     * conversion.
+     */
+    std::vector<std::uint64_t> tgidCmp, pollCmp, syscallCmp;
 };
 
 /**
- * Try to compile @p spec to a native kernel. Returns true and fills
- * @p out on success; false (out->fn == nullptr) when the program is not
- * a recognised library probe. Never fails a runnable program: callers
- * fall back to the translated engine.
+ * Bind @p spec to a native kernel. A spec without a shape returns false
+ * at once; a shaped spec is re-emitted once from its shape and compiles
+ * only if the bytes match exactly and its maps have the kernel's
+ * layout. Returns true and fills @p out on success; false
+ * (out->fn == nullptr) otherwise. Never fails a runnable program:
+ * callers fall back to the translated engine.
  */
 bool compileNative(const ProgramSpec &spec, NativeProgram *out);
 

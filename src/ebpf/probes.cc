@@ -7,6 +7,20 @@ namespace reqobs::ebpf::probes {
 
 namespace {
 
+/** A 32-bit jump/move immediate, truncated as the bytecode carries it. */
+std::int32_t
+imm(std::int64_t v)
+{
+    return static_cast<std::int32_t>(v);
+}
+
+void
+need(bool ok)
+{
+    if (!ok)
+        sim::fatal("probes::emit: malformed probe shape");
+}
+
 /**
  * Emit the common application filter:
  *   r6 = ctx->pid_tgid; if ((r6 >> 32) != tgid) goto out;
@@ -18,27 +32,7 @@ emitTgidFilter(ProgramBuilder &b, std::uint32_t tgid)
     b.ldxdw(R6, R1, offsetof(TraceCtx, pidTgid))
         .mov(R7, R6)
         .rshImm(R7, 32)
-        .jneImm(R7, static_cast<std::int32_t>(tgid), "out");
-}
-
-/**
- * Emit the tenant-match prologue, the multi-tenant generalisation of
- * emitTgidFilter: resolve the event's tgid against the tenant set via
- * an unrolled jeq chain and leave the dense tenant slot in r7 (and
- * pid_tgid in r6); non-tenant events jump to "out". With
- * @p match_poll, tenant i's stub additionally requires ctx->id
- * (pre-loaded into r8 by the caller) to equal that tenant's own poll
- * syscall — tenants may wait on different syscalls.
- */
-void emitTenantSlot(ProgramBuilder &b, const TenantSet &tenants,
-                    bool match_poll);
-
-void
-emitTenantFilter(ProgramBuilder &b, const TenantSet &tenants,
-                 bool match_poll)
-{
-    b.ldxdw(R6, R1, offsetof(TraceCtx, pidTgid));
-    emitTenantSlot(b, tenants, match_poll);
+        .jneImm(R7, imm(tgid), "out");
 }
 
 /**
@@ -52,18 +46,120 @@ emitTenantSlot(ProgramBuilder &b, const TenantSet &tenants,
 {
     b.mov(R7, R6).rshImm(R7, 32);
     for (std::size_t i = 0; i < tenants.tgids.size(); ++i)
-        b.jeqImm(R7, static_cast<std::int32_t>(tenants.tgids[i]),
-                 "tenant" + std::to_string(i));
+        b.jeqImm(R7, imm(tenants.tgids[i]), "tenant" + std::to_string(i));
     b.ja("out");
     for (std::size_t i = 0; i < tenants.tgids.size(); ++i) {
         b.label("tenant" + std::to_string(i));
         if (match_poll)
-            b.jneImm(R8,
-                     static_cast<std::int32_t>(tenants.pollSyscalls[i]),
-                     "out");
+            b.jneImm(R8, imm(tenants.pollSyscalls[i]), "out");
         b.movImm(R7, static_cast<std::int32_t>(i)).ja("tenant_body");
     }
     b.label("tenant_body");
+}
+
+/**
+ * Emit the tenant-match prologue, the multi-tenant generalisation of
+ * emitTgidFilter: resolve the event's tgid against the tenant set via
+ * an unrolled jeq chain and leave the dense tenant slot in r7 (and
+ * pid_tgid in r6); non-tenant events jump to "out". With
+ * @p match_poll, tenant i's stub additionally requires ctx->id
+ * (pre-loaded into r8 by the caller) to equal that tenant's own poll
+ * syscall — tenants may wait on different syscalls.
+ */
+void
+emitTenantFilter(ProgramBuilder &b, const TenantSet &tenants,
+                 bool match_poll)
+{
+    b.ldxdw(R6, R1, offsetof(TraceCtx, pidTgid));
+    emitTenantSlot(b, tenants, match_poll);
+}
+
+/** Family match first: cheap rejection of unrelated syscalls. */
+void
+emitFamilyMatch(ProgramBuilder &b, const std::vector<std::int64_t> &family)
+{
+    b.ldxdw(R8, R1, offsetof(TraceCtx, id));
+    for (std::int64_t id : family)
+        b.jeqImm(R8, imm(id), "match");
+    b.ja("out");
+    b.label("match");
+}
+
+/** u32 stats-slot key at r10+off: the tenant slot in r7, or slot 0. */
+void
+emitSlotKey(ProgramBuilder &b, std::int16_t off, bool tenant)
+{
+    if (tenant)
+        b.stx(R10, off, R7, BPF_W);
+    else
+        b.stImm(R10, off, 0, BPF_W);
+}
+
+/** r0 = map_lookup(fd, r10+key_off); a miss jumps to @p miss. */
+void
+emitLookup(ProgramBuilder &b, int fd, std::int16_t key_off,
+           const std::string &miss)
+{
+    b.ldMapFd(R1, fd)
+        .mov(R2, R10)
+        .addImm(R2, key_off)
+        .call(helper::kMapLookupElem)
+        .jeqImm(R0, 0, miss);
+}
+
+/** map_update(fd, r10+key_off, r10-16, BPF_ANY). */
+void
+emitUpdate(ProgramBuilder &b, int fd, std::int16_t key_off)
+{
+    b.ldMapFd(R1, fd)
+        .mov(R2, R10)
+        .addImm(R2, key_off)
+        .mov(R3, R10)
+        .addImm(R3, -16)
+        .movImm(R4, BPF_ANY)
+        .call(helper::kMapUpdateElem);
+}
+
+/** (*(u64 *)r0)++. */
+void
+emitIncrement(ProgramBuilder &b)
+{
+    b.ldxdw(R3, R0, 0).addImm(R3, 1).stxdw(R0, 0, R3);
+}
+
+/**
+ * stamp[pid_tgid] = bpf_ktime_get_ns(), pid_tgid in r6 — the thread
+ * identity already disambiguates tenants, so one map serves them all.
+ */
+void
+emitStampNow(ProgramBuilder &b, int fd)
+{
+    b.call(helper::kKtimeGetNs);
+    b.stxdw(R10, -8, R6)  // key = pid_tgid
+        .stxdw(R10, -16, R0); // value = t
+    emitUpdate(b, fd, -8);
+}
+
+/**
+ * r8 = r9 - stamp[key], the key already on the stack at r10-8, then
+ * delete the stamp; a missing stamp exits. @p guarded skips
+ * clock-inverted pairs: the u64 subtraction would register an
+ * astronomical interval (the stale slot is overwritten by the next
+ * stamp).
+ */
+void
+emitTakeStamp(ProgramBuilder &b, int fd, bool guarded)
+{
+    emitLookup(b, fd, -8, "out");
+    b.ldxdw(R3, R0, 0);
+    if (guarded)
+        b.jgt(R3, R9, "out");
+    b.mov(R8, R9).sub(R8, R3);
+    // delete(&key);  (key buffer still on the stack)
+    b.ldMapFd(R1, fd)
+        .mov(R2, R10)
+        .addImm(R2, -8)
+        .call(helper::kMapDeleteElem);
 }
 
 /**
@@ -83,12 +179,24 @@ emitDurationBody(ProgramBuilder &b, unsigned shift)
         .stxdw(R0, offsetof(SyscallStats, sumNs), R3);
     // q = duration >> shift; stats->sumsq_q += q * q;
     b.mov(R4, R8)
-        .rshImm(R4, static_cast<std::int32_t>(shift))
+        .rshImm(R4, imm(shift))
         .mov(R5, R4)
         .mul(R5, R4)
         .ldxdw(R3, R0, offsetof(SyscallStats, sumSqQ))
         .add(R3, R5)
         .stxdw(R0, offsetof(SyscallStats, sumSqQ), R3);
+}
+
+/** Listing 1's sys_exit half after the filter: time, take, accumulate. */
+void
+emitDurationTail(ProgramBuilder &b, const ProbeShape &s, bool tenant)
+{
+    // end_ns = ctx->ts; duration = end_ns - start[pid_tgid]
+    b.ldxdw(R9, R1, offsetof(TraceCtx, ts)).stxdw(R10, -8, R6);
+    emitTakeStamp(b, s.stampFd, s.guarded);
+    emitSlotKey(b, -24, tenant);
+    emitLookup(b, s.outFd, -24, "out");
+    emitDurationBody(b, s.shift);
 }
 
 /**
@@ -116,7 +224,7 @@ emitDeltaBody(ProgramBuilder &b, unsigned shift, bool guarded)
         .add(R3, R2)
         .stxdw(R0, offsetof(SyscallStats, sumNs), R3);
     // q = delta >> shift; sumsq += q*q  (Eq. 2's E[x^2] accumulator)
-    b.rshImm(R2, static_cast<std::int32_t>(shift))
+    b.rshImm(R2, imm(shift))
         .mov(R4, R2)
         .mul(R4, R2)
         .ldxdw(R3, R0, offsetof(SyscallStats, sumSqQ))
@@ -124,444 +232,176 @@ emitDeltaBody(ProgramBuilder &b, unsigned shift, bool guarded)
         .stxdw(R0, offsetof(SyscallStats, sumSqQ), R3);
 }
 
-} // namespace
-
-namespace emit {
-
-std::vector<Insn>
-durationEnter(std::uint32_t tgid, std::int64_t syscall, int start_fd)
+/** Delta probes after the filter: accumulate into stats[slot]. */
+void
+emitDeltaTail(ProgramBuilder &b, const ProbeShape &s, bool tenant)
 {
-    ProgramBuilder b;
-    emitTgidFilter(b, tgid);
-    // Filter the syscall of interest (args->id in the paper's listing).
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id))
-        .jneImm(R8, static_cast<std::int32_t>(syscall), "out");
-    // u64 t = bpf_ktime_get_ns();
-    b.call(helper::kKtimeGetNs);
-    // start.update(&pid_tgid, &t);
-    b.stxdw(R10, -8, R6)  // key = pid_tgid
-        .stxdw(R10, -16, R0) // value = t
-        .ldMapFd(R1, start_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .mov(R3, R10)
-        .addImm(R3, -16)
-        .movImm(R4, BPF_ANY)
-        .call(helper::kMapUpdateElem);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-durationExit(std::uint32_t tgid, std::int64_t syscall, int start_fd,
-             int stats_fd, unsigned shift, bool guarded)
-{
-    ProgramBuilder b;
-    emitTgidFilter(b, tgid);
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id))
-        .jneImm(R8, static_cast<std::int32_t>(syscall), "out");
-    // u64 end_ns = ctx->ts (the tracepoint timestamp).
-    b.ldxdw(R9, R1, offsetof(TraceCtx, ts));
-    // u64 *start_ns = start.lookup(&pid_tgid);
-    b.stxdw(R10, -8, R6)
-        .ldMapFd(R1, start_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    b.ldxdw(R3, R0, 0);
-    // Clock jitter can order the exit timestamp before the entry one;
-    // the u64 subtraction would then register an astronomical duration.
-    // Skip the sample (the stale start slot is overwritten by the
-    // thread's next entry).
-    if (guarded)
-        b.jgt(R3, R9, "out");
-    // duration = end_ns - *start_ns;   (keep in callee-saved r8)
-    b.mov(R8, R9).sub(R8, R3);
-    // start.delete(&pid_tgid);  (key buffer still on the stack)
-    b.ldMapFd(R1, start_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapDeleteElem);
-    // stats = &stats_array[0];
-    b.stImm(R10, -24, 0, BPF_W)
-        .ldMapFd(R1, stats_fd)
-        .mov(R2, R10)
-        .addImm(R2, -24)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    emitDurationBody(b, shift);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-deltaExit(std::uint32_t tgid, const std::vector<std::int64_t> &family,
-          int stats_fd, unsigned shift, bool guarded)
-{
-    if (family.empty())
-        sim::fatal("emit::deltaExit: empty syscall family");
-
-    ProgramBuilder b;
-    // Family match first: cheap rejection of unrelated syscalls.
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id));
-    for (std::int64_t id : family)
-        b.jeqImm(R8, static_cast<std::int32_t>(id), "match");
-    b.ja("out");
-    b.label("match");
-    emitTgidFilter(b, tgid);
     // Failed syscalls (EINTR restarts, EAGAIN polls with data racing
     // away) are not request completions; counting their exits inflates
     // Eq. 1. The guarded variant filters on ret >= 0.
-    if (guarded) {
+    if (s.guarded)
         b.ldxdw(R2, R1, offsetof(TraceCtx, ret)).jsltImm(R2, 0, "out");
-    }
-    // now = ctx->ts
-    b.ldxdw(R9, R1, offsetof(TraceCtx, ts));
-    // stats = &stats_array[0];
-    b.stImm(R10, -4, 0, BPF_W)
-        .ldMapFd(R1, stats_fd)
-        .mov(R2, R10)
-        .addImm(R2, -4)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    emitDeltaBody(b, shift, guarded);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
+    b.ldxdw(R9, R1, offsetof(TraceCtx, ts)); // now = ctx->ts
+    emitSlotKey(b, -4, tenant);
+    emitLookup(b, s.outFd, -4, "out");
+    emitDeltaBody(b, s.shift, s.guarded);
 }
 
-std::vector<Insn>
-tenantDeltaExit(const TenantSet &tenants,
-                const std::vector<std::int64_t> &family, int stats_fd,
-                unsigned shift, bool guarded)
+// The histogram tail computes slot * kHistBuckets as a shift.
+static_assert(kHistBuckets == 16, "emitStampToHistogram hardcodes lsh 4");
+
+/**
+ * Stamp-to-histogram tail shared by the runqlat switch and front-door
+ * accept probes (the bytecode twin of native.cc's stampToHistogram):
+ * the key on the stack at r10-8, now in r9, the tenant slot in r7.
+ */
+void
+emitStampToHistogram(ProgramBuilder &b, const ProbeShape &s)
 {
-    if (family.empty())
-        sim::fatal("emit::tenantDeltaExit: empty syscall family");
-    if (tenants.tgids.empty())
-        sim::fatal("emit::tenantDeltaExit: empty tenant set");
-
-    ProgramBuilder b;
-    // Family match first: cheap rejection of unrelated syscalls.
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id));
-    for (std::int64_t id : family)
-        b.jeqImm(R8, static_cast<std::int32_t>(id), "match");
-    b.ja("out");
-    b.label("match");
-    emitTenantFilter(b, tenants, /*match_poll=*/false); // slot in r7
-    if (guarded) {
-        b.ldxdw(R2, R1, offsetof(TraceCtx, ret)).jsltImm(R2, 0, "out");
-    }
-    // now = ctx->ts
-    b.ldxdw(R9, R1, offsetof(TraceCtx, ts));
-    // stats = &stats_array[slot];
-    b.stx(R10, -4, R7, BPF_W)
-        .ldMapFd(R1, stats_fd)
-        .mov(R2, R10)
-        .addImm(R2, -4)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    emitDeltaBody(b, shift, guarded);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-tenantHeavyHitter(const TenantSet &tenants,
-                  const std::vector<std::int64_t> &family, int sketch_fd)
-{
-    if (family.empty())
-        sim::fatal("emit::tenantHeavyHitter: empty syscall family");
-    if (tenants.tgids.empty())
-        sim::fatal("emit::tenantHeavyHitter: empty tenant set");
-
-    ProgramBuilder b;
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id));
-    for (std::int64_t id : family)
-        b.jeqImm(R8, static_cast<std::int32_t>(id), "match");
-    b.ja("out");
-    b.label("match");
-    emitTenantFilter(b, tenants, /*match_poll=*/false); // slot in r7
-    // key = tenant slot; resident keys increment their count in place
-    // (no pipe traversal), misses insert value 1 through the pipe.
-    b.stx(R10, -4, R7, BPF_W)
-        .ldMapFd(R1, sketch_fd)
-        .mov(R2, R10)
-        .addImm(R2, -4)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "insert")
-        .ldxdw(R3, R0, 0)
-        .addImm(R3, 1)
-        .stxdw(R0, 0, R3)
-        .ja("out");
-    b.label("insert")
-        .stImm(R10, -16, 1, BPF_DW)
-        .ldMapFd(R1, sketch_fd)
-        .mov(R2, R10)
-        .addImm(R2, -4)
-        .mov(R3, R10)
-        .addImm(R3, -16)
-        .movImm(R4, 0) // BPF_ANY
-        .call(helper::kMapUpdateElem);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-tenantDurationEnter(const TenantSet &tenants, int start_fd)
-{
-    if (tenants.tgids.empty() ||
-        tenants.pollSyscalls.size() != tenants.tgids.size())
-        sim::fatal("emit::tenantDurationEnter: malformed tenant set");
-
-    ProgramBuilder b;
-    // ctx->id in r8 before the prologue: each tenant stub matches its
-    // own poll syscall.
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id));
-    emitTenantFilter(b, tenants, /*match_poll=*/true);
-    // u64 t = bpf_ktime_get_ns();
-    b.call(helper::kKtimeGetNs);
-    // start.update(&pid_tgid, &t);  — pid_tgid already identifies the
-    // tenant's thread, so one shared start map serves every tenant.
-    b.stxdw(R10, -8, R6)
-        .stxdw(R10, -16, R0)
-        .ldMapFd(R1, start_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .mov(R3, R10)
-        .addImm(R3, -16)
-        .movImm(R4, BPF_ANY)
-        .call(helper::kMapUpdateElem);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-tenantDurationExit(const TenantSet &tenants, int start_fd, int stats_fd,
-                   unsigned shift, bool guarded)
-{
-    if (tenants.tgids.empty() ||
-        tenants.pollSyscalls.size() != tenants.tgids.size())
-        sim::fatal("emit::tenantDurationExit: malformed tenant set");
-
-    ProgramBuilder b;
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id));
-    emitTenantFilter(b, tenants, /*match_poll=*/true); // slot in r7
-    // u64 end_ns = ctx->ts.
-    b.ldxdw(R9, R1, offsetof(TraceCtx, ts));
-    // u64 *start_ns = start.lookup(&pid_tgid);
-    b.stxdw(R10, -8, R6)
-        .ldMapFd(R1, start_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    b.ldxdw(R3, R0, 0);
-    if (guarded)
-        b.jgt(R3, R9, "out");
-    // duration = end_ns - *start_ns;  (r8 is free once the id matched)
-    b.mov(R8, R9).sub(R8, R3);
-    // start.delete(&pid_tgid);  (key buffer still on the stack)
-    b.ldMapFd(R1, start_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapDeleteElem);
-    // stats = &stats_array[slot];
-    b.stx(R10, -24, R7, BPF_W)
-        .ldMapFd(R1, stats_fd)
-        .mov(R2, R10)
-        .addImm(R2, -24)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    emitDurationBody(b, shift);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-frontDoorIngress(int ingress_fd)
-{
-    ProgramBuilder b;
-    // Read ctx fields before r1 is clobbered by the helper setup.
-    b.ldxdw(R2, R1, offsetof(TraceCtx, id))
-        .stxdw(R10, -8, R2) // key = flow id
-        .ldxdw(R3, R1, offsetof(TraceCtx, ts))
-        .stxdw(R10, -16, R3); // value = ingress ts
-    // ingress.update(&flow, &ts) — BPF_ANY: a retransmitted SYN restarts
-    // the flow's front-door clock at its latest wire arrival.
-    b.ldMapFd(R1, ingress_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .mov(R3, R10)
-        .addImm(R3, -16)
-        .movImm(R4, BPF_ANY)
-        .call(helper::kMapUpdateElem);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-std::vector<Insn>
-frontDoorAccept(const TenantSet &tenants, int ingress_fd, int hist_fd,
-                unsigned shift)
-{
-    if (tenants.tgids.empty())
-        sim::fatal("emit::frontDoorAccept: empty tenant set");
-
-    ProgramBuilder b;
-    b.ldxdw(R8, R1, offsetof(TraceCtx, id))  // flow id
-        .ldxdw(R9, R1, offsetof(TraceCtx, ts)); // accept ts
-    emitTenantFilter(b, tenants, /*match_poll=*/false); // slot in r7
-    // u64 *ingress_ns = ingress.lookup(&flow);
-    b.stxdw(R10, -8, R8)
-        .ldMapFd(R1, ingress_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    b.ldxdw(R3, R0, 0);
-    // latency = accept_ts - ingress_ts;  (r8 is free once keyed)
-    b.mov(R8, R9).sub(R8, R3);
-    // ingress.delete(&flow);  (key buffer still on the stack)
-    b.ldMapFd(R1, ingress_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapDeleteElem);
-    // bucket = floor(log2(latency >> shift)), clamped to the table:
-    // an unrolled threshold chain (verifier-friendly, no loops).
-    b.rshImm(R8, static_cast<std::int32_t>(shift)).movImm(R6, 0);
-    for (unsigned k = 1; k < kFrontDoorBuckets; ++k) {
+    emitTakeStamp(b, s.stampFd, /*guarded=*/false);
+    // bucket = floor(log2(r8 >> shift)), clamped to the table: an
+    // unrolled threshold chain (verifier-friendly, no loops).
+    b.rshImm(R8, imm(s.shift)).movImm(R6, 0);
+    for (unsigned k = 1; k < kHistBuckets; ++k) {
         b.jltImm(R8, static_cast<std::int32_t>(1u << k), "bucket");
         b.movImm(R6, static_cast<std::int32_t>(k));
     }
     b.label("bucket");
-    // hist = &hist_array[slot * kFrontDoorBuckets + bucket]; (*hist)++;
-    b.lshImm(R7, 4).add(R7, R6);
-    b.stx(R10, -16, R7, BPF_W)
-        .ldMapFd(R1, hist_fd)
-        .mov(R2, R10)
-        .addImm(R2, -16)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out")
-        .ldxdw(R3, R0, 0)
-        .addImm(R3, 1)
-        .stxdw(R0, 0, R3);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
+    // hist = &hist_array[slot * kHistBuckets + bucket]; (*hist)++;
+    b.lshImm(R7, 4).add(R7, R6).stx(R10, -16, R7, BPF_W);
+    emitLookup(b, s.outFd, -16, "out");
+    emitIncrement(b);
 }
 
-std::vector<Insn>
-runqlatWakeup(int stamp_fd)
+/** A library probe: its bytecode, the map table and the shape itself. */
+ProgramSpec
+specFor(EbpfRuntime &rt, const char *name, ProbeShape shape)
 {
-    ProgramBuilder b;
-    // Read ctx fields before r1 is clobbered by the helper setup.
-    b.ldxdw(R2, R1, offsetof(TraceCtx, id))
-        .stxdw(R10, -8, R2) // key = woken tid
-        .ldxdw(R3, R1, offsetof(TraceCtx, ts))
-        .stxdw(R10, -16, R3); // value = wakeup ts
-    // stamp.update(&tid, &ts) — BPF_ANY: a re-wakeup restarts the wait
-    // clock, exactly as runqlat.bpf.c's trace_enqueue does.
-    b.ldMapFd(R1, stamp_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .mov(R3, R10)
-        .addImm(R3, -16)
-        .movImm(R4, BPF_ANY)
-        .call(helper::kMapUpdateElem);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
+    ProgramSpec spec;
+    spec.name = name;
+    spec.insns = emit(shape);
+    spec.maps = rt.mapTable();
+    spec.shape = std::move(shape);
+    return spec;
 }
 
-std::vector<Insn>
-runqlatSwitch(const TenantSet &tenants, int stamp_fd, int hist_fd,
-              unsigned shift)
-{
-    if (tenants.tgids.empty())
-        sim::fatal("emit::runqlatSwitch: empty tenant set");
+} // namespace
 
+std::vector<Insn>
+emit(const ProbeShape &s)
+{
+    const std::vector<std::uint32_t> &tgids = s.tenants.tgids;
     ProgramBuilder b;
-    // Read every ctx field up front: the prev re-stamp's helper call
-    // clobbers r1-r5, and it must run before the tenant filter decides
-    // the incoming task's fate (prev and next are unrelated threads).
-    b.ldxdw(R6, R1, offsetof(TraceCtx, pidTgid)) // next pid_tgid
-        .ldxdw(R8, R1, offsetof(TraceCtx, id))   // prev tid
-        .ldxdw(R9, R1, offsetof(TraceCtx, ts))   // switch ts
-        .ldxdw(R2, R1, offsetof(TraceCtx, ret)); // prev state
-    // A preempted prev (state 0) stays runnable: its wait starts now.
-    b.jneImm(R2, 0, "next")
-        .stxdw(R10, -8, R8)
-        .stxdw(R10, -16, R9)
-        .ldMapFd(R1, stamp_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .mov(R3, R10)
-        .addImm(R3, -16)
-        .movImm(R4, BPF_ANY)
-        .call(helper::kMapUpdateElem);
-    b.label("next");
-    emitTenantSlot(b, tenants, /*match_poll=*/false); // slot in r7
-    // key = next tid = low half of pid_tgid (idle's 0 misses the hash).
-    b.mov(R8, R6).lshImm(R8, 32).rshImm(R8, 32).stxdw(R10, -8, R8);
-    // u64 *wake_ns = stamp.lookup(&tid);
-    b.ldMapFd(R1, stamp_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out");
-    b.ldxdw(R3, R0, 0);
-    // wait = switch_ts - wake_ns;  (r8 is free once keyed)
-    b.mov(R8, R9).sub(R8, R3);
-    // stamp.delete(&tid);  (key buffer still on the stack)
-    b.ldMapFd(R1, stamp_fd)
-        .mov(R2, R10)
-        .addImm(R2, -8)
-        .call(helper::kMapDeleteElem);
-    // bucket = floor(log2(wait >> shift)), clamped to the table: the
-    // same unrolled threshold chain as the front-door histogram.
-    b.rshImm(R8, static_cast<std::int32_t>(shift)).movImm(R6, 0);
-    for (unsigned k = 1; k < kRunqlatBuckets; ++k) {
-        b.jltImm(R8, static_cast<std::int32_t>(1u << k), "bucket");
-        b.movImm(R6, static_cast<std::int32_t>(k));
+    switch (s.kind) {
+    case ProbeKind::DurationEnter:
+    case ProbeKind::DurationExit:
+        need(tgids.size() == 1 && s.syscalls.size() == 1);
+        emitTgidFilter(b, tgids[0]);
+        // Filter the syscall of interest (args->id in the paper's listing).
+        b.ldxdw(R8, R1, offsetof(TraceCtx, id))
+            .jneImm(R8, imm(s.syscalls[0]), "out");
+        if (s.kind == ProbeKind::DurationEnter)
+            emitStampNow(b, s.stampFd);
+        else
+            emitDurationTail(b, s, /*tenant=*/false);
+        break;
+    case ProbeKind::TenantDurationEnter:
+    case ProbeKind::TenantDurationExit:
+        need(!tgids.empty() && s.tenants.pollSyscalls.size() == tgids.size());
+        // ctx->id in r8 before the prologue: each tenant stub matches its
+        // own poll syscall.
+        b.ldxdw(R8, R1, offsetof(TraceCtx, id));
+        emitTenantFilter(b, s.tenants, /*match_poll=*/true); // slot in r7
+        if (s.kind == ProbeKind::TenantDurationEnter)
+            emitStampNow(b, s.stampFd);
+        else
+            emitDurationTail(b, s, /*tenant=*/true);
+        break;
+    case ProbeKind::DeltaExit:
+        need(tgids.size() == 1 && !s.syscalls.empty());
+        emitFamilyMatch(b, s.syscalls);
+        emitTgidFilter(b, tgids[0]);
+        emitDeltaTail(b, s, /*tenant=*/false);
+        break;
+    case ProbeKind::TenantDeltaExit:
+        need(!tgids.empty() && !s.syscalls.empty());
+        emitFamilyMatch(b, s.syscalls);
+        emitTenantFilter(b, s.tenants, /*match_poll=*/false); // slot in r7
+        emitDeltaTail(b, s, /*tenant=*/true);
+        break;
+    case ProbeKind::TenantHeavyHitter:
+        need(!tgids.empty() && !s.syscalls.empty());
+        emitFamilyMatch(b, s.syscalls);
+        emitTenantFilter(b, s.tenants, /*match_poll=*/false); // slot in r7
+        // key = tenant slot; resident keys increment their count in place
+        // (no pipe traversal), misses insert value 1 through the pipe.
+        emitSlotKey(b, -4, /*tenant=*/true);
+        emitLookup(b, s.outFd, -4, "insert");
+        emitIncrement(b);
+        b.ja("out");
+        b.label("insert").stImm(R10, -16, 1, BPF_DW);
+        emitUpdate(b, s.outFd, -4);
+        break;
+    case ProbeKind::Stream:
+        need(tgids.size() == 1);
+        emitTgidFilter(b, tgids[0]);
+        // Assemble a StreamRecord at r10-40.
+        b.ldxdw(R2, R1, offsetof(TraceCtx, id))
+            .stxdw(R10, -40, R2)
+            .stxdw(R10, -32, R6) // pid_tgid (from the filter)
+            .ldxdw(R2, R1, offsetof(TraceCtx, ts))
+            .stxdw(R10, -24, R2)
+            .ldxdw(R2, R1, offsetof(TraceCtx, ret))
+            .stxdw(R10, -16, R2)
+            .stImm(R10, -8, s.exitPoint ? 1 : 0, BPF_DW);
+        b.ldMapFd(R1, s.outFd)
+            .mov(R2, R10)
+            .addImm(R2, -40)
+            .movImm(R3, sizeof(StreamRecord))
+            .movImm(R4, 0)
+            .call(helper::kRingbufOutput);
+        break;
+    case ProbeKind::IdStamp:
+        // Read ctx fields before r1 is clobbered by the helper setup.
+        b.ldxdw(R2, R1, offsetof(TraceCtx, id))
+            .stxdw(R10, -8, R2) // key = woken tid / flow id
+            .ldxdw(R3, R1, offsetof(TraceCtx, ts))
+            .stxdw(R10, -16, R3); // value = wakeup / ingress ts
+        // BPF_ANY: a re-wakeup restarts the wait clock, exactly as
+        // runqlat.bpf.c's trace_enqueue does; a retransmitted SYN
+        // restarts the flow's front-door clock at its latest arrival.
+        emitUpdate(b, s.stampFd, -8);
+        break;
+    case ProbeKind::RunqlatSwitch:
+        need(!tgids.empty());
+        // Read every ctx field up front: the prev re-stamp's helper call
+        // clobbers r1-r5, and it must run before the tenant filter decides
+        // the incoming task's fate (prev and next are unrelated threads).
+        b.ldxdw(R6, R1, offsetof(TraceCtx, pidTgid)) // next pid_tgid
+            .ldxdw(R8, R1, offsetof(TraceCtx, id))   // prev tid
+            .ldxdw(R9, R1, offsetof(TraceCtx, ts))   // switch ts
+            .ldxdw(R2, R1, offsetof(TraceCtx, ret)); // prev state
+        // A preempted prev (state 0) stays runnable: its wait starts now.
+        b.jneImm(R2, 0, "next").stxdw(R10, -8, R8).stxdw(R10, -16, R9);
+        emitUpdate(b, s.stampFd, -8);
+        b.label("next");
+        emitTenantSlot(b, s.tenants, /*match_poll=*/false); // slot in r7
+        // key = next tid = low half of pid_tgid (idle's 0 misses the hash).
+        b.mov(R8, R6).lshImm(R8, 32).rshImm(R8, 32).stxdw(R10, -8, R8);
+        emitStampToHistogram(b, s);
+        break;
+    case ProbeKind::FrontDoorAccept:
+        need(!tgids.empty());
+        b.ldxdw(R8, R1, offsetof(TraceCtx, id))  // flow id
+            .ldxdw(R9, R1, offsetof(TraceCtx, ts)); // accept ts
+        emitTenantFilter(b, s.tenants, /*match_poll=*/false); // slot in r7
+        b.stxdw(R10, -8, R8);
+        emitStampToHistogram(b, s);
+        break;
     }
-    b.label("bucket");
-    // hist = &hist_array[slot * kRunqlatBuckets + bucket]; (*hist)++;
-    b.lshImm(R7, 4).add(R7, R6);
-    b.stx(R10, -16, R7, BPF_W)
-        .ldMapFd(R1, hist_fd)
-        .mov(R2, R10)
-        .addImm(R2, -16)
-        .call(helper::kMapLookupElem)
-        .jeqImm(R0, 0, "out")
-        .ldxdw(R3, R0, 0)
-        .addImm(R3, 1)
-        .stxdw(R0, 0, R3);
     b.label("out").movImm(R0, 0).exit_();
     return b.build();
 }
-
-std::vector<Insn>
-streamProbe(std::uint32_t tgid, bool exit_point, int ring_fd)
-{
-    ProgramBuilder b;
-    emitTgidFilter(b, tgid);
-    // Assemble a StreamRecord at r10-40.
-    b.ldxdw(R2, R1, offsetof(TraceCtx, id))
-        .stxdw(R10, -40, R2)
-        .stxdw(R10, -32, R6) // pid_tgid (from the filter)
-        .ldxdw(R2, R1, offsetof(TraceCtx, ts))
-        .stxdw(R10, -24, R2)
-        .ldxdw(R2, R1, offsetof(TraceCtx, ret))
-        .stxdw(R10, -16, R2)
-        .stImm(R10, -8, exit_point ? 1 : 0, BPF_DW);
-    b.ldMapFd(R1, ring_fd)
-        .mov(R2, R10)
-        .addImm(R2, -40)
-        .movImm(R3, sizeof(StreamRecord))
-        .movImm(R4, 0)
-        .call(helper::kRingbufOutput);
-    b.label("out").movImm(R0, 0).exit_();
-    return b.build();
-}
-
-} // namespace emit
 
 DurationMaps
 createDurationMaps(EbpfRuntime &rt, const std::string &prefix)
@@ -578,23 +418,25 @@ ProgramSpec
 buildDurationEnter(EbpfRuntime &rt, std::uint32_t tgid, std::int64_t syscall,
                    const DurationMaps &maps)
 {
-    ProgramSpec spec;
-    spec.name = "duration_enter";
-    spec.insns = emit::durationEnter(tgid, syscall, maps.startFd);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "duration_enter",
+                   {.kind = ProbeKind::DurationEnter,
+                    .tenants = {.tgids = {tgid}},
+                    .syscalls = {syscall},
+                    .stampFd = maps.startFd});
 }
 
 ProgramSpec
 buildDurationExit(EbpfRuntime &rt, std::uint32_t tgid, std::int64_t syscall,
                   const DurationMaps &maps, unsigned shift, bool guarded)
 {
-    ProgramSpec spec;
-    spec.name = "duration_exit";
-    spec.insns = emit::durationExit(tgid, syscall, maps.startFd, maps.statsFd,
-                                    shift, guarded);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "duration_exit",
+                   {.kind = ProbeKind::DurationExit,
+                    .tenants = {.tgids = {tgid}},
+                    .syscalls = {syscall},
+                    .stampFd = maps.startFd,
+                    .outFd = maps.statsFd,
+                    .shift = shift,
+                    .guarded = guarded});
 }
 
 DeltaMaps
@@ -611,11 +453,13 @@ buildDeltaExit(EbpfRuntime &rt, std::uint32_t tgid,
                const std::vector<std::int64_t> &family, const DeltaMaps &maps,
                unsigned shift, bool guarded)
 {
-    ProgramSpec spec;
-    spec.name = "delta_exit";
-    spec.insns = emit::deltaExit(tgid, family, maps.statsFd, shift, guarded);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "delta_exit",
+                   {.kind = ProbeKind::DeltaExit,
+                    .tenants = {.tgids = {tgid}},
+                    .syscalls = family,
+                    .outFd = maps.statsFd,
+                    .shift = shift,
+                    .guarded = guarded});
 }
 
 DeltaMaps
@@ -633,12 +477,13 @@ buildTenantDeltaExit(EbpfRuntime &rt, const TenantSet &tenants,
                      const std::vector<std::int64_t> &family,
                      const DeltaMaps &maps, unsigned shift, bool guarded)
 {
-    ProgramSpec spec;
-    spec.name = "tenant_delta_exit";
-    spec.insns =
-        emit::tenantDeltaExit(tenants, family, maps.statsFd, shift, guarded);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "tenant_delta_exit",
+                   {.kind = ProbeKind::TenantDeltaExit,
+                    .tenants = tenants,
+                    .syscalls = family,
+                    .outFd = maps.statsFd,
+                    .shift = shift,
+                    .guarded = guarded});
 }
 
 int
@@ -653,11 +498,11 @@ ProgramSpec
 buildTenantHeavyHitter(EbpfRuntime &rt, const TenantSet &tenants,
                        const std::vector<std::int64_t> &family, int sketch_fd)
 {
-    ProgramSpec spec;
-    spec.name = "tenant_heavy_hitter";
-    spec.insns = emit::tenantHeavyHitter(tenants, family, sketch_fd);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "tenant_heavy_hitter",
+                   {.kind = ProbeKind::TenantHeavyHitter,
+                    .tenants = tenants,
+                    .syscalls = family,
+                    .outFd = sketch_fd});
 }
 
 DurationMaps
@@ -676,11 +521,10 @@ ProgramSpec
 buildTenantDurationEnter(EbpfRuntime &rt, const TenantSet &tenants,
                          const DurationMaps &maps)
 {
-    ProgramSpec spec;
-    spec.name = "tenant_duration_enter";
-    spec.insns = emit::tenantDurationEnter(tenants, maps.startFd);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "tenant_duration_enter",
+                   {.kind = ProbeKind::TenantDurationEnter,
+                    .tenants = tenants,
+                    .stampFd = maps.startFd});
 }
 
 ProgramSpec
@@ -688,17 +532,14 @@ buildTenantDurationExit(EbpfRuntime &rt, const TenantSet &tenants,
                         const DurationMaps &maps, unsigned shift,
                         bool guarded)
 {
-    ProgramSpec spec;
-    spec.name = "tenant_duration_exit";
-    spec.insns = emit::tenantDurationExit(tenants, maps.startFd, maps.statsFd,
-                                          shift, guarded);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "tenant_duration_exit",
+                   {.kind = ProbeKind::TenantDurationExit,
+                    .tenants = tenants,
+                    .stampFd = maps.startFd,
+                    .outFd = maps.statsFd,
+                    .shift = shift,
+                    .guarded = guarded});
 }
-
-// The accept emitter computes slot * kFrontDoorBuckets as a shift.
-static_assert(kFrontDoorBuckets == 16,
-              "frontDoorAccept hardcodes lsh 4 for the slot stride");
 
 FrontDoorMaps
 createFrontDoorMaps(EbpfRuntime &rt, std::uint32_t tenants,
@@ -709,47 +550,28 @@ createFrontDoorMaps(EbpfRuntime &rt, std::uint32_t tenants,
                                    sizeof(std::uint64_t), 16384,
                                    prefix + ".ingress");
     m.histFd = rt.createArrayMap(sizeof(std::uint64_t),
-                                 tenants * kFrontDoorBuckets,
-                                 prefix + ".hist");
+                                 tenants * kHistBuckets, prefix + ".hist");
     return m;
 }
 
 ProgramSpec
 buildFrontDoorIngress(EbpfRuntime &rt, const FrontDoorMaps &maps)
 {
-    ProgramSpec spec;
-    spec.name = "frontdoor_ingress";
-    spec.insns = emit::frontDoorIngress(maps.ingressFd);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "frontdoor_ingress",
+                   {.kind = ProbeKind::IdStamp, .stampFd = maps.ingressFd});
 }
 
 ProgramSpec
 buildFrontDoorAccept(EbpfRuntime &rt, const TenantSet &tenants,
                      const FrontDoorMaps &maps, unsigned shift)
 {
-    ProgramSpec spec;
-    spec.name = "frontdoor_accept";
-    spec.insns = emit::frontDoorAccept(tenants, maps.ingressFd, maps.histFd,
-                                       shift);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "frontdoor_accept",
+                   {.kind = ProbeKind::FrontDoorAccept,
+                    .tenants = tenants,
+                    .stampFd = maps.ingressFd,
+                    .outFd = maps.histFd,
+                    .shift = shift});
 }
-
-std::vector<std::uint64_t>
-readFrontDoorHist(EbpfRuntime &rt, const FrontDoorMaps &maps,
-                  std::uint32_t slot)
-{
-    std::vector<std::uint64_t> hist(kFrontDoorBuckets, 0);
-    auto &arr = rt.arrayAt(maps.histFd);
-    for (unsigned k = 0; k < kFrontDoorBuckets; ++k)
-        hist[k] = arr.at<std::uint64_t>(slot * kFrontDoorBuckets + k);
-    return hist;
-}
-
-// The switch emitter computes slot * kRunqlatBuckets as a shift.
-static_assert(kRunqlatBuckets == 16,
-              "runqlatSwitch hardcodes lsh 4 for the slot stride");
 
 RunqlatMaps
 createRunqlatMaps(EbpfRuntime &rt, std::uint32_t tenants,
@@ -760,53 +582,41 @@ createRunqlatMaps(EbpfRuntime &rt, std::uint32_t tenants,
                                  sizeof(std::uint64_t), 16384,
                                  prefix + ".stamp");
     m.histFd = rt.createArrayMap(sizeof(std::uint64_t),
-                                 tenants * kRunqlatBuckets,
-                                 prefix + ".hist");
+                                 tenants * kHistBuckets, prefix + ".hist");
     return m;
 }
 
 ProgramSpec
 buildRunqlatWakeup(EbpfRuntime &rt, const RunqlatMaps &maps)
 {
-    ProgramSpec spec;
-    spec.name = "runqlat_wakeup";
-    spec.insns = emit::runqlatWakeup(maps.stampFd);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "runqlat_wakeup",
+                   {.kind = ProbeKind::IdStamp, .stampFd = maps.stampFd});
 }
 
 ProgramSpec
 buildRunqlatSwitch(EbpfRuntime &rt, const TenantSet &tenants,
                    const RunqlatMaps &maps, unsigned shift)
 {
-    ProgramSpec spec;
-    spec.name = "runqlat_switch";
-    spec.insns = emit::runqlatSwitch(tenants, maps.stampFd, maps.histFd,
-                                     shift);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, "runqlat_switch",
+                   {.kind = ProbeKind::RunqlatSwitch,
+                    .tenants = tenants,
+                    .stampFd = maps.stampFd,
+                    .outFd = maps.histFd,
+                    .shift = shift});
 }
 
 std::vector<std::uint64_t>
-readRunqlatHist(EbpfRuntime &rt, const RunqlatMaps &maps, std::uint32_t slot)
+readHist(EbpfRuntime &rt, int hist_fd, std::uint32_t slot)
 {
-    std::vector<std::uint64_t> hist(kRunqlatBuckets, 0);
-    auto &arr = rt.arrayAt(maps.histFd);
-    for (unsigned k = 0; k < kRunqlatBuckets; ++k)
-        hist[k] = arr.at<std::uint64_t>(slot * kRunqlatBuckets + k);
+    std::vector<std::uint64_t> hist(kHistBuckets, 0);
+    auto &arr = rt.arrayAt(hist_fd);
+    for (unsigned k = 0; k < kHistBuckets; ++k)
+        hist[k] = arr.at<std::uint64_t>(slot * kHistBuckets + k);
     return hist;
 }
 
 std::uint64_t
-runqlatQuantile(const std::vector<std::uint64_t> &hist, double q,
-                unsigned shift)
-{
-    return frontDoorQuantile(hist, q, shift);
-}
-
-std::uint64_t
-frontDoorQuantile(const std::vector<std::uint64_t> &hist, double q,
-                  unsigned shift)
+histQuantile(const std::vector<std::uint64_t> &hist, double q, unsigned shift)
 {
     std::uint64_t total = 0;
     for (std::uint64_t c : hist)
@@ -836,11 +646,11 @@ ProgramSpec
 buildStreamProbe(EbpfRuntime &rt, std::uint32_t tgid, bool exit_point,
                  const StreamMaps &maps)
 {
-    ProgramSpec spec;
-    spec.name = exit_point ? "stream_exit" : "stream_enter";
-    spec.insns = emit::streamProbe(tgid, exit_point, maps.ringFd);
-    spec.maps = rt.mapTable();
-    return spec;
+    return specFor(rt, exit_point ? "stream_exit" : "stream_enter",
+                   {.kind = ProbeKind::Stream,
+                    .tenants = {.tgids = {tgid}},
+                    .outFd = maps.ringFd,
+                    .exitPoint = exit_point});
 }
 
 } // namespace reqobs::ebpf::probes

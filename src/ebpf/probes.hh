@@ -128,18 +128,8 @@ ProgramSpec buildDeltaExit(EbpfRuntime &rt, std::uint32_t tgid,
  * @{
  */
 
-/** Per-tenant probe identity: slot i of every tenant map. */
-struct TenantSet
-{
-    /** Tenant tgids; index is the stats-map slot. */
-    std::vector<std::uint32_t> tgids;
-    /**
-     * Per-tenant poll syscall (duration probes): tenants may use
-     * different wait syscalls (epoll_wait vs select). Same length as
-     * tgids.
-     */
-    std::vector<std::int64_t> pollSyscalls;
-};
+/** Per-tenant probe identity (program.hh). */
+using ebpf::TenantSet;
 
 /** Allocate the per-tenant stats array for a tenant delta probe. */
 DeltaMaps createTenantDeltaMaps(EbpfRuntime &rt, std::uint32_t tenants,
@@ -207,6 +197,31 @@ ProgramSpec buildTenantHeavyHitter(EbpfRuntime &rt, const TenantSet &tenants,
 /** @} */
 
 /**
+ * @name Per-tenant log2 histograms (front-door and runqlat probes).
+ *
+ * Each tenant slot owns kHistBuckets u64 counters; bucket k counts
+ * values v with floor(log2(v >> shift)) == k, clamped to the table.
+ * @{
+ */
+
+/** Buckets per tenant slot. */
+constexpr unsigned kHistBuckets = 16;
+
+/** Read tenant @p slot's row (kHistBuckets counters) of @p hist_fd. */
+std::vector<std::uint64_t> readHist(EbpfRuntime &rt, int hist_fd,
+                                    std::uint32_t slot);
+
+/**
+ * Approximate quantile from a log2 histogram bucketed with @p shift:
+ * the upper bound (ns) of the bucket containing the @p q-th sample, 0
+ * when empty.
+ */
+std::uint64_t histQuantile(const std::vector<std::uint64_t> &hist, double q,
+                           unsigned shift);
+
+/** @} */
+
+/**
  * @name Front-door latency probes (net/frontdoor).
  *
  * The host-network tracepoints reuse the TraceCtx ABI with the flow id
@@ -225,9 +240,6 @@ ProgramSpec buildTenantHeavyHitter(EbpfRuntime &rt, const TenantSet &tenants,
  * @{
  */
 
-/** Buckets per tenant in the front-door latency histogram. */
-constexpr unsigned kFrontDoorBuckets = 16;
-
 /**
  * Right-shift applied to the latency before bucketing: bucket 0 covers
  * [0, 2·4096) ns and the top bucket saturates at ~2^27 ns (~134 ms),
@@ -239,7 +251,7 @@ constexpr unsigned kFrontDoorShift = 12;
 struct FrontDoorMaps
 {
     int ingressFd = -1; ///< hash: flow id (u64) -> ingress ts (u64)
-    int histFd = -1;    ///< array[tenants * kFrontDoorBuckets] of u64
+    int histFd = -1;    ///< array[tenants * kHistBuckets] of u64
 };
 
 /** Allocate the front-door maps for @p tenants tenant slots. */
@@ -253,18 +265,6 @@ ProgramSpec buildFrontDoorIngress(EbpfRuntime &rt, const FrontDoorMaps &maps);
 ProgramSpec buildFrontDoorAccept(EbpfRuntime &rt, const TenantSet &tenants,
                                  const FrontDoorMaps &maps,
                                  unsigned shift = kFrontDoorShift);
-
-/** Read tenant @p slot's histogram (kFrontDoorBuckets counters). */
-std::vector<std::uint64_t> readFrontDoorHist(EbpfRuntime &rt,
-                                             const FrontDoorMaps &maps,
-                                             std::uint32_t slot);
-
-/**
- * Approximate quantile from a front-door log2 histogram: the upper
- * bound (ns) of the bucket containing the @p q-th sample, 0 when empty.
- */
-std::uint64_t frontDoorQuantile(const std::vector<std::uint64_t> &hist,
-                                double q, unsigned shift = kFrontDoorShift);
 
 /** @} */
 
@@ -288,9 +288,6 @@ std::uint64_t frontDoorQuantile(const std::vector<std::uint64_t> &hist,
  * @{
  */
 
-/** Buckets per tenant in the run-queue latency histogram. */
-constexpr unsigned kRunqlatBuckets = 16;
-
 /**
  * Right-shift applied to the wait before bucketing: bucket 0 covers
  * [0, 2048) ns and the top bucket saturates at ~2^25 ns (~33 ms),
@@ -303,7 +300,7 @@ constexpr unsigned kRunqlatShift = 10;
 struct RunqlatMaps
 {
     int stampFd = -1; ///< hash: tid (u64) -> wakeup/preempt ts (u64)
-    int histFd = -1;  ///< array[tenants * kRunqlatBuckets] of u64
+    int histFd = -1;  ///< array[tenants * kHistBuckets] of u64
 };
 
 /** Allocate the runqlat maps for @p tenants tenant slots. */
@@ -320,18 +317,6 @@ ProgramSpec buildRunqlatWakeup(EbpfRuntime &rt, const RunqlatMaps &maps);
 ProgramSpec buildRunqlatSwitch(EbpfRuntime &rt, const TenantSet &tenants,
                                const RunqlatMaps &maps,
                                unsigned shift = kRunqlatShift);
-
-/** Read tenant @p slot's histogram (kRunqlatBuckets counters). */
-std::vector<std::uint64_t> readRunqlatHist(EbpfRuntime &rt,
-                                           const RunqlatMaps &maps,
-                                           std::uint32_t slot);
-
-/**
- * Approximate quantile from a runqlat log2 histogram: the upper bound
- * (ns) of the bucket containing the @p q-th sample, 0 when empty.
- */
-std::uint64_t runqlatQuantile(const std::vector<std::uint64_t> &hist,
-                              double q, unsigned shift = kRunqlatShift);
 
 /** @} */
 
@@ -353,47 +338,17 @@ ProgramSpec buildStreamProbe(EbpfRuntime &rt, std::uint32_t tgid,
                              bool exit_point, const StreamMaps &maps);
 
 /**
- * @name Bytecode emitters.
+ * @name Bytecode emitter.
  *
- * Each emit::* function returns the exact instruction stream of the
- * corresponding build* probe (the builders delegate to these). The
- * native compiler (native.cc) recognises a program by extracting
- * candidate parameters from its bytecode, re-emitting through the same
- * function and requiring byte equality — so a probe matches its native
- * kernel if and only if it is literally a library probe. Map arguments
+ * Every build* probe is emit(shape) for the shape the builder fills
+ * in, and the builder stores that shape in the ProgramSpec. The native
+ * compiler (native.cc) binds its kernel to the stored shape, re-emitting
+ * once and requiring byte equality with the spec's instructions, so a
+ * kernel only ever runs the exact bytes it was written for. Map fields
  * are fds as baked into ld_map_fd.
  * @{
  */
-namespace emit {
-
-std::vector<Insn> durationEnter(std::uint32_t tgid, std::int64_t syscall,
-                                int start_fd);
-std::vector<Insn> durationExit(std::uint32_t tgid, std::int64_t syscall,
-                               int start_fd, int stats_fd, unsigned shift,
-                               bool guarded);
-std::vector<Insn> deltaExit(std::uint32_t tgid,
-                            const std::vector<std::int64_t> &family,
-                            int stats_fd, unsigned shift, bool guarded);
-std::vector<Insn> tenantDeltaExit(const TenantSet &tenants,
-                                  const std::vector<std::int64_t> &family,
-                                  int stats_fd, unsigned shift, bool guarded);
-std::vector<Insn> tenantHeavyHitter(const TenantSet &tenants,
-                                    const std::vector<std::int64_t> &family,
-                                    int sketch_fd);
-std::vector<Insn> tenantDurationEnter(const TenantSet &tenants, int start_fd);
-std::vector<Insn> tenantDurationExit(const TenantSet &tenants, int start_fd,
-                                     int stats_fd, unsigned shift,
-                                     bool guarded);
-std::vector<Insn> streamProbe(std::uint32_t tgid, bool exit_point,
-                              int ring_fd);
-std::vector<Insn> frontDoorIngress(int ingress_fd);
-std::vector<Insn> frontDoorAccept(const TenantSet &tenants, int ingress_fd,
-                                  int hist_fd, unsigned shift);
-std::vector<Insn> runqlatWakeup(int stamp_fd);
-std::vector<Insn> runqlatSwitch(const TenantSet &tenants, int stamp_fd,
-                                int hist_fd, unsigned shift);
-
-} // namespace emit
+std::vector<Insn> emit(const ProbeShape &shape);
 /** @} */
 
 } // namespace reqobs::ebpf::probes

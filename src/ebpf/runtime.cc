@@ -198,8 +198,8 @@ EbpfRuntime::loadAndAttach(ProgramSpec spec, kernel::TracepointId point,
     if (!translate(loaded->spec, vr.maxStackDepth, &loaded->xprog, &xerr))
         sim::panic("eBPF program '%s': %s", loaded->spec.name.c_str(),
                    xerr.c_str());
-    // Recognition only matters when the kernel will run: the other
-    // engines execute the VM for every program.
+    // Binding only matters when the kernel will run: the other engines
+    // execute the VM for every program.
     if (config_.engine == ExecEngine::Native)
         compileNative(loaded->spec, &loaded->nprog);
     Loaded *raw = loaded.get();
@@ -241,7 +241,9 @@ EbpfRuntime::probeCounters() const
     for (const auto &prog : programs_) {
         ProbeCounters pc;
         pc.name = prog->spec.name;
+        pc.kernel = prog->nprog.fn ? prog->nprog.kernel : "vm";
         pc.events = prog->events;
+        pc.insns = prog->insns;
         pc.mapUpdateFails = prog->mapUpdateFails;
         pc.ringbufDrops = prog->ringbufDrops;
         pc.misses = prog->misses;
@@ -309,8 +311,8 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
 
     std::uint64_t insns;
     if (prog.nprog.fn) {
-        // Directly callable kernel: no dispatch, no abort path (the
-        // recogniser only accepts library probes, which cannot fault).
+        // Directly callable kernel: no dispatch, no abort path (only
+        // library probes bind, and they cannot fault).
         NativeResult nr;
         prog.nprog.fn(prog.nprog, ctx, env, nr);
         prog.mapUpdateFails += nr.mapUpdateFails;
@@ -341,6 +343,7 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
         }
         insns = r.insns;
     }
+    prog.insns += insns;
 
     const sim::Tick cost =
         config_.baseProbeCost +

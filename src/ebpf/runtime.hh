@@ -34,16 +34,15 @@
 namespace reqobs::ebpf {
 
 /**
- * Execution-engine selection. Native is the default: a program whose
- * bytecode is literally a library probe runs its compiled
- * shape-specialised kernel (native.hh), and every other program runs
- * on the translation cache (the simulator analogue of the kernel
- * JIT-compiling eBPF, see §VI of the paper), pre-decoded once at
- * attach time. Translated forces the translation cache for every
- * program; Reference re-decodes every instruction per event and serves
- * as the semantic oracle. Results are identical across all three
- * (tests/ebpf_diff_test.cc and tests/engine_test.cc assert the
- * agreement bit-for-bit).
+ * Execution-engine selection. Native is the default: a library probe
+ * whose bytes match its shape runs its bound shape-specialised kernel
+ * (native.hh), and every other program runs on the translation cache
+ * (the simulator analogue of the kernel JIT-compiling eBPF, see §VI of
+ * the paper), pre-decoded once at attach time. Translated forces the
+ * translation cache for every program; Reference re-decodes every
+ * instruction per event and serves as the semantic oracle. Results are
+ * identical across all three (tests/ebpf_diff_test.cc and
+ * tests/engine_test.cc assert the agreement bit-for-bit).
  */
 enum class ExecEngine
 {
@@ -182,13 +181,18 @@ class EbpfRuntime
     sim::Tick totalProbeCost() const { return totalCost_; }
     /** @} */
 
-    /** @name Per-probe failure counters (§ fault observability). @{ */
+    /** @name Per-probe counters (§ fault observability). @{ */
 
-    /** Snapshot of one loaded program's failure counters. */
+    /**
+     * Snapshot of one loaded program's counters: the analogue of
+     * `bpftool prog show` with kernel.bpf_stats_enabled.
+     */
     struct ProbeCounters
     {
         std::string name;
+        std::string kernel; ///< native kernel name, or "vm"
         std::uint64_t events = 0;
+        std::uint64_t insns = 0;          ///< retired instructions
         std::uint64_t mapUpdateFails = 0; ///< -E2BIG and friends
         std::uint64_t ringbufDrops = 0;   ///< -ENOSPC
         std::uint64_t misses = 0;         ///< firings that never ran it
@@ -232,12 +236,13 @@ class EbpfRuntime
         ProgramSpec spec;
         /** Attach-time pre-decoded form (translation cache). */
         TranslatedProgram xprog;
-        /** Attach-time native compile; nprog.fn null (no library match,
-         *  or a non-Native engine) runs the VM instead. */
+        /** Attach-time native bind; nprog.fn null (no shape, a byte
+         *  mismatch, or a non-Native engine) runs the VM instead. */
         NativeProgram nprog;
         kernel::TracepointId point;
         kernel::ProbeHandle handle;
         std::uint64_t events = 0;
+        std::uint64_t insns = 0;
         std::uint64_t mapUpdateFails = 0;
         std::uint64_t ringbufDrops = 0;
         std::uint64_t misses = 0;

@@ -136,10 +136,9 @@ TEST_P(EngineDiffFuzzTest, VerifiedProgramsAgreeBitForBit)
             continue;
         ++accepted;
 
-        // The native compiler accepts a program only when re-emitting
-        // its extracted parameters reproduces the instruction stream
-        // byte for byte — a random program is structurally rejected
-        // (and at runtime would execute through the translated form).
+        // The native compiler binds only programs that carry a library
+        // probe shape — a random program has none, is rejected, and at
+        // runtime executes through the translated form.
         NativeProgram np;
         EXPECT_FALSE(compileNative(specA, &np))
             << disassemble(specA.insns);
@@ -302,6 +301,7 @@ expectStacksEqual(ProbeStack &a, ProbeStack &b, const char *label)
     for (std::size_t i = 0; i < pa.size(); ++i) {
         EXPECT_EQ(pa[i].name, pb[i].name);
         EXPECT_EQ(pa[i].events, pb[i].events) << pa[i].name;
+        EXPECT_EQ(pa[i].insns, pb[i].insns) << pa[i].name;
         EXPECT_EQ(pa[i].mapUpdateFails, pb[i].mapUpdateFails) << pa[i].name;
         EXPECT_EQ(pa[i].ringbufDrops, pb[i].ringbufDrops) << pa[i].name;
     }
@@ -495,9 +495,9 @@ TEST(EngineDiffRunqlat, HistogramsAgreeBitForBit)
 
     for (auto *other : {&xlt, &nat}) {
         for (std::uint32_t slot = 0; slot < 2; ++slot)
-            EXPECT_EQ(probes::readRunqlatHist(*ref.rt, ref.maps, slot),
-                      probes::readRunqlatHist(*other->rt, other->maps,
-                                              slot));
+            EXPECT_EQ(probes::readHist(*ref.rt, ref.maps.histFd, slot),
+                      probes::readHist(*other->rt, other->maps.histFd,
+                                       slot));
         EXPECT_EQ(hashSnapshot(ref.rt->hashAt(ref.maps.stampFd)),
                   hashSnapshot(other->rt->hashAt(other->maps.stampFd)));
         EXPECT_EQ(ref.rt->eventsProcessed(), other->rt->eventsProcessed());
@@ -510,7 +510,7 @@ TEST(EngineDiffRunqlat, HistogramsAgreeBitForBit)
     for (std::uint32_t slot = 0; slot < 2; ++slot) {
         std::uint64_t total = 0;
         for (std::uint64_t c :
-             probes::readRunqlatHist(*ref.rt, ref.maps, slot))
+             probes::readHist(*ref.rt, ref.maps.histFd, slot))
             total += c;
         EXPECT_GT(total, 500u) << "slot " << slot;
     }

@@ -6,9 +6,10 @@
  * attach (paper and hardened ObservabilityAgent, the Supervisor's
  * agent, MultiTenantAgent with its heavy-hitter and runqlat families)
  * runs a native kernel (the front-door pair is checked alongside its
- * engine-equality test in frontdoor_test.cc). Agents rename their
- * probes before attach, so this only holds because native compilation
- * recognises bytecode, not names.
+ * engine-equality test in frontdoor_test.cc), checked by the kernel
+ * name each program reports. Agents rename their probes before attach,
+ * so this only holds because native compilation binds the shape the
+ * builder stored, not the name.
  *
  * Differential: whole runs (a figure sweep point, a storm with a front
  * door, a co-location cluster, a discrete-scheduler runqlat cluster, a
@@ -41,12 +42,21 @@ namespace {
 
 using ebpf::ExecEngine;
 
+/** Every loaded program reports its native kernel by name, in attach
+ *  order (the runtime reports "vm" for a program that did not bind). */
 void
-expectAllNative(ebpf::EbpfRuntime &rt, std::size_t programs)
+expectAllNative(ebpf::EbpfRuntime &rt,
+                const std::vector<std::string> &kernels)
 {
-    EXPECT_EQ(rt.loadedPrograms(), programs);
-    EXPECT_EQ(rt.nativePrograms(), rt.loadedPrograms());
+    const auto progs = rt.probeCounters();
+    ASSERT_EQ(progs.size(), kernels.size());
+    for (std::size_t i = 0; i < progs.size(); ++i)
+        EXPECT_EQ(progs[i].kernel, kernels[i]) << progs[i].name;
 }
+
+/** The four ObservabilityAgent probes, attach order. */
+const std::vector<std::string> kAgentKernels = {
+    "delta_exit", "delta_exit", "duration_enter", "duration_exit"};
 
 core::AgentConfig
 hardened()
@@ -74,7 +84,7 @@ TEST(AgentNativeCoverage, ObservabilityAgentPaperAndHardened)
             agent.start();
             SCOPED_TRACE(wl.name + (ac.guardedProbes ? " hardened"
                                                       : " paper"));
-            expectAllNative(agent.runtime(), 4);
+            expectAllNative(agent.runtime(), kAgentKernels);
         }
     }
 }
@@ -87,7 +97,7 @@ TEST(AgentNativeCoverage, SupervisedAgent)
                          core::SupervisorConfig{}, nullptr, sim.forkRng());
     sup.start();
     ASSERT_NE(sup.agent(), nullptr);
-    expectAllNative(sup.agent()->runtime(), 4);
+    expectAllNative(sup.agent()->runtime(), kAgentKernels);
 }
 
 TEST(AgentNativeCoverage, MultiTenantAgentEveryFamily)
@@ -110,7 +120,11 @@ TEST(AgentNativeCoverage, MultiTenantAgentEveryFamily)
         agent.start();
         SCOPED_TRACE(guarded ? "guarded" : "paper");
         // heavy hitter + send/recv delta + poll pair + runqlat triple
-        expectAllNative(agent.runtime(), 8);
+        expectAllNative(agent.runtime(),
+                        {"tenant_heavy_hitter", "tenant_delta_exit",
+                         "tenant_delta_exit", "tenant_duration_enter",
+                         "tenant_duration_exit", "id_stamp", "id_stamp",
+                         "runqlat_switch"});
     }
 }
 

@@ -388,13 +388,13 @@ TEST(FrontDoorProbeEngines, HistogramsAgreeBitForBit)
         }
     }
 
-    const auto h0 = ebpf::probes::readFrontDoorHist(*ref.rt, ref.maps, 0);
-    const auto h1 = ebpf::probes::readFrontDoorHist(*ref.rt, ref.maps, 1);
+    const auto h0 = ebpf::probes::readHist(*ref.rt, ref.maps.histFd, 0);
+    const auto h1 = ebpf::probes::readHist(*ref.rt, ref.maps.histFd, 1);
     for (auto *other : {&xlt, &nat}) {
-        EXPECT_EQ(h0, ebpf::probes::readFrontDoorHist(*other->rt,
-                                                      other->maps, 0));
-        EXPECT_EQ(h1, ebpf::probes::readFrontDoorHist(*other->rt,
-                                                      other->maps, 1));
+        EXPECT_EQ(h0,
+                  ebpf::probes::readHist(*other->rt, other->maps.histFd, 0));
+        EXPECT_EQ(h1,
+                  ebpf::probes::readHist(*other->rt, other->maps.histFd, 1));
         EXPECT_EQ(hashSnapshot(ref.rt->hashAt(ref.maps.ingressFd)),
                   hashSnapshot(other->rt->hashAt(other->maps.ingressFd)));
         EXPECT_EQ(ref.rt->eventsProcessed(), other->rt->eventsProcessed());
@@ -418,8 +418,11 @@ TEST(FrontDoorProbeEngines, HistogramsAgreeBitForBit)
     for (std::uint64_t c : h1)
         total1 += c;
     EXPECT_GT(total1, 1000u);
-    const std::uint64_t p50 = ebpf::probes::frontDoorQuantile(h0, 0.5);
-    const std::uint64_t p99 = ebpf::probes::frontDoorQuantile(h0, 0.99);
+    using ebpf::probes::kFrontDoorShift;
+    const std::uint64_t p50 =
+        ebpf::probes::histQuantile(h0, 0.5, kFrontDoorShift);
+    const std::uint64_t p99 =
+        ebpf::probes::histQuantile(h0, 0.99, kFrontDoorShift);
     EXPECT_GT(p50, 0u);
     EXPECT_GE(p99, p50);
 }

@@ -1,13 +1,14 @@
 /**
  * @file
- * Host-speed machinery: the native compiler must cover the whole probe
- * library by bytecode alone (and run only under the Native engine),
- * the persistent worker pool must return bit-identical experiment results across
- * reuse, and the parallel cluster engine must be deterministic.
+ * Host-speed machinery: the native compiler must bind the whole probe
+ * library from its shapes (and run only under the Native engine), the
+ * persistent worker pool must return bit-identical experiment results
+ * across reuse, and the parallel cluster engine must be deterministic.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -34,8 +35,8 @@ constexpr std::int64_t kEpollWait = 232;
 
 TEST(NativeEngine, CompilesTheEntireProbeLibrary)
 {
-    // Every library shape compiles from its bytecode alone (names are
-    // scrubbed), but only the Native engine runs the kernels: the
+    // Every library shape binds from the shape its builder stored (names
+    // are scrubbed), but only the Native engine runs the kernels: the
     // forced Translated and Reference engines report none.
     for (const ebpf::ExecEngine engine :
          {ebpf::ExecEngine::Native, ebpf::ExecEngine::Translated,
@@ -119,51 +120,124 @@ TEST(NativeEngine, CompilesTheEntireProbeLibrary)
     }
 }
 
+bool
+sameBytes(const std::vector<ebpf::Insn> &a, const std::vector<ebpf::Insn> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(ebpf::Insn)) ==
+               0;
+}
+
 TEST(NativeEngine, NonLibraryProgramFallsBackToTranslated)
 {
-    // A verified but non-library program under the Native engine must
-    // run through the translated form with identical observations.
-    auto runOne = [](ebpf::ExecEngine engine) {
-        sim::Simulation sim(1);
-        kernel::Kernel kernel(sim);
-        ebpf::RuntimeConfig rc;
-        rc.engine = engine;
-        auto rt = std::make_unique<ebpf::EbpfRuntime>(kernel, rc);
-        // ctx->id into r0 via two redundant moves: semantically trivial
-        // but byte-matching no library probe.
-        ebpf::ProgramSpec spec;
-        spec.name = "custom";
-        ebpf::ProgramBuilder b;
-        b.ldxdw(ebpf::R2, ebpf::R1, 0)
-            .mov(ebpf::R3, ebpf::R2)
-            .mov(ebpf::R0, ebpf::R3)
-            .exit_();
-        spec.insns = b.build();
-        const auto vr = rt->loadAndAttach(std::move(spec),
-                                          TracepointId::SysEnter);
-        EXPECT_TRUE(vr.ok) << vr.error;
-        RawSyscallEvent ev;
-        ev.syscall = 1;
-        ev.pidTgid = kernel::makePidTgid(10, 11);
-        for (int i = 0; i < 50; ++i) {
-            ev.timestamp = 100 + i;
-            kernel.tracepoints().fire(ev);
-        }
-        struct Out
-        {
-            std::size_t native;
-            std::uint64_t events, insns;
-            std::int64_t cost;
-        };
-        return Out{rt->nativePrograms(), rt->eventsProcessed(),
-                   rt->insnsInterpreted(), rt->totalProbeCost()};
+    // Every input verifies but must not bind: under the Native engine it
+    // runs through the translated form with identical observations.
+    using Make = ebpf::ProgramSpec (*)(ebpf::EbpfRuntime &);
+    const std::pair<const char *, Make> inputs[] = {
+        {"custom",
+         [](ebpf::EbpfRuntime &) {
+             // ctx->id into r0 via two redundant moves: semantically
+             // trivial, no shape.
+             ebpf::ProgramSpec spec;
+             ebpf::ProgramBuilder b;
+             b.ldxdw(ebpf::R2, ebpf::R1, 0)
+                 .mov(ebpf::R3, ebpf::R2)
+                 .mov(ebpf::R0, ebpf::R3)
+                 .exit_();
+             spec.insns = b.build();
+             return spec;
+         }},
+        {"library probe, one immediate flipped",
+         [](ebpf::EbpfRuntime &rt) {
+             // Built for syscall 2, its syscall filter then rewritten to
+             // the fired syscall 1 with the shape kept: a kernel bound to
+             // the shape would skip every event the bytes record.
+             const auto maps = ebpf::probes::createDurationMaps(rt, "flip");
+             ebpf::ProgramSpec spec =
+                 ebpf::probes::buildDurationEnter(rt, 10, 2, maps);
+             int flipped = 0;
+             for (ebpf::Insn &i : spec.insns) {
+                 if (i.dst == ebpf::R8 && i.imm == 2) {
+                     i.imm = 1;
+                     ++flipped;
+                 }
+             }
+             EXPECT_EQ(flipped, 1);
+             EXPECT_TRUE(spec.shape.has_value());
+             return spec;
+         }},
+        {"shapeless byte copy of a library probe",
+         [](ebpf::EbpfRuntime &rt) {
+             // Hand-assembled, byte for byte the runqlat wakeup probe but
+             // with no shape: binding needs the builder's declaration,
+             // not bytes that happen to match.
+             const auto maps = ebpf::probes::createRunqlatMaps(rt, 1, "copy");
+             ebpf::ProgramBuilder b;
+             b.ldxdw(ebpf::R2, ebpf::R1, 0)
+                 .stxdw(ebpf::R10, -8, ebpf::R2)
+                 .ldxdw(ebpf::R3, ebpf::R1, 16)
+                 .stxdw(ebpf::R10, -16, ebpf::R3)
+                 .ldMapFd(ebpf::R1, maps.stampFd)
+                 .mov(ebpf::R2, ebpf::R10)
+                 .addImm(ebpf::R2, -8)
+                 .mov(ebpf::R3, ebpf::R10)
+                 .addImm(ebpf::R3, -16)
+                 .movImm(ebpf::R4, ebpf::BPF_ANY)
+                 .call(ebpf::helper::kMapUpdateElem)
+                 .label("out")
+                 .movImm(ebpf::R0, 0)
+                 .exit_();
+             ebpf::ProgramSpec spec;
+             spec.insns = b.build();
+             spec.maps = rt.mapTable();
+             EXPECT_TRUE(sameBytes(
+                 spec.insns,
+                 ebpf::probes::buildRunqlatWakeup(rt, maps).insns));
+             return spec;
+         }},
     };
-    const auto nat = runOne(ebpf::ExecEngine::Native);
-    const auto xlt = runOne(ebpf::ExecEngine::Translated);
-    EXPECT_EQ(nat.native, 0u);
-    EXPECT_EQ(nat.events, xlt.events);
-    EXPECT_EQ(nat.insns, xlt.insns);
-    EXPECT_EQ(nat.cost, xlt.cost);
+
+    for (const auto &[label, make] : inputs) {
+        SCOPED_TRACE(label);
+        auto runOne = [make](ebpf::ExecEngine engine) {
+            sim::Simulation sim(1);
+            kernel::Kernel kernel(sim);
+            ebpf::RuntimeConfig rc;
+            rc.engine = engine;
+            auto rt = std::make_unique<ebpf::EbpfRuntime>(kernel, rc);
+            ebpf::ProgramSpec spec = make(*rt);
+            spec.name = "custom";
+            ebpf::NativeProgram np;
+            EXPECT_FALSE(ebpf::compileNative(spec, &np));
+            const auto vr = rt->loadAndAttach(std::move(spec),
+                                              TracepointId::SysEnter);
+            EXPECT_TRUE(vr.ok) << vr.error;
+            RawSyscallEvent ev;
+            ev.syscall = 1;
+            ev.pidTgid = kernel::makePidTgid(10, 11);
+            for (int i = 0; i < 50; ++i) {
+                ev.timestamp = 100 + i;
+                kernel.tracepoints().fire(ev);
+            }
+            struct Out
+            {
+                std::size_t native;
+                std::string kernel;
+                std::uint64_t events, insns;
+                std::int64_t cost;
+            };
+            return Out{rt->nativePrograms(), rt->probeCounters()[0].kernel,
+                       rt->eventsProcessed(), rt->insnsInterpreted(),
+                       rt->totalProbeCost()};
+        };
+        const auto nat = runOne(ebpf::ExecEngine::Native);
+        const auto xlt = runOne(ebpf::ExecEngine::Translated);
+        EXPECT_EQ(nat.native, 0u);
+        EXPECT_EQ(nat.kernel, "vm");
+        EXPECT_EQ(nat.events, xlt.events);
+        EXPECT_EQ(nat.insns, xlt.insns);
+        EXPECT_EQ(nat.cost, xlt.cost);
+    }
 }
 
 TEST(WorkerPoolTest, ReusedPoolReturnsBitIdenticalResults)

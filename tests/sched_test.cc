@@ -286,12 +286,12 @@ unsigned
 log2Bucket(std::uint64_t v)
 {
     unsigned b = 0;
-    for (unsigned k = 1; k < ebpf::probes::kRunqlatBuckets; ++k) {
+    for (unsigned k = 1; k < ebpf::probes::kHistBuckets; ++k) {
         if (v < (1ull << k))
             return b;
         b = k;
     }
-    return ebpf::probes::kRunqlatBuckets - 1;
+    return ebpf::probes::kHistBuckets - 1;
 }
 
 /**
@@ -402,7 +402,7 @@ TEST(SchedRunqlat, HistogramMatchesExhaustiveGroundTruth)
     std::uint64_t total = 0;
     for (std::size_t slot = 0; slot < 2; ++slot) {
         const std::vector<std::uint64_t> got =
-            ebpf::probes::readRunqlatHist(rt, maps, slot);
+            ebpf::probes::readHist(rt, maps.histFd, slot);
         ASSERT_EQ(got.size(), truth.hist[slot].size());
         for (std::size_t b = 0; b < got.size(); ++b) {
             EXPECT_EQ(got[b], truth.hist[slot][b])
@@ -416,9 +416,12 @@ TEST(SchedRunqlat, HistogramMatchesExhaustiveGroundTruth)
 
     // Quantile sanity on the probe's own histogram: p99 >= p50, both
     // inside the representable range.
-    const auto h0 = ebpf::probes::readRunqlatHist(rt, maps, 0);
-    const std::uint64_t p50 = ebpf::probes::runqlatQuantile(h0, 0.50);
-    const std::uint64_t p99 = ebpf::probes::runqlatQuantile(h0, 0.99);
+    using ebpf::probes::kRunqlatShift;
+    const auto h0 = ebpf::probes::readHist(rt, maps.histFd, 0);
+    const std::uint64_t p50 =
+        ebpf::probes::histQuantile(h0, 0.50, kRunqlatShift);
+    const std::uint64_t p99 =
+        ebpf::probes::histQuantile(h0, 0.99, kRunqlatShift);
     EXPECT_GE(p99, p50);
     EXPECT_GT(p99, 0u);
 }
