@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/parallel.hh"
 #include "sim/logging.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
@@ -192,8 +193,8 @@ main(int argc, char **argv)
     // actually use so the JSON is honest about the environment.
     const unsigned cores_detected = std::thread::hardware_concurrency();
     const unsigned cores = cores_detected == 0 ? 1 : cores_detected;
-    const unsigned effective_jobs = core::effectiveParallelJobs(
-        workload::paperWorkloads().size() * 10);
+    const unsigned effective_jobs = core::resolveWorkerCount(
+        0, workload::paperWorkloads().size() * 10);
     bench::printHeader("Host-side performance (wall clock)");
     std::printf("host cores: %u (detected %u), parallel jobs: %u\n", cores,
                 cores_detected, effective_jobs);

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <tuple>
 
 #include "client/fleet_generator.hh"
 #include "core/parallel.hh"
 #include "core/profile.hh"
-#include "net/channel.hh"
 #include "sim/logging.hh"
 
 namespace reqobs::core {
@@ -25,12 +23,6 @@ isDegenerateCluster(const ClusterExperimentConfig &config)
            config.tenants[0].loadProfile.empty() && !config.antagonist &&
            !config.controller.enabled && uniform_speed &&
            config.sched == kernel::SchedModel::Gps;
-}
-
-sim::Tick
-clusterLookahead(const ClusterExperimentConfig &config)
-{
-    return net::TcpPipe::minLatency(config.netem);
 }
 
 namespace {
@@ -89,73 +81,18 @@ liftDegenerate(const ClusterExperimentConfig &config,
 }
 
 /**
- * The cluster engine (DESIGN.md §13): one construction, one run loop,
- * one result collection, over 1 or M+1 simulation domains.
- *
- * The serial engine is the one-domain case: every machine and the
- * client population share a single Simulation, no fork source is
- * installed, and the run loop executes one window up to the horizon.
- * The parallel engine (clusterParallel, when eligible) places machine m
- * on domain m and the whole client population on domain M, each with
- * its own event queue and virtual clock. The only cross-domain
- * interaction is message delivery through TcpPipes, whose send() side
- * computes the complete delivery timing (netem verdicts, RTO waits,
- * in-order bump) before the message leaves the sender — so a domain can
- * safely run ahead as long as no message from another domain could
- * still arrive, i.e. for one lookahead L = min cross-domain latency.
- *
- * Execution alternates lookahead windows and barriers: every domain
- * runs its events with tick < W on the shared worker pool, then the
- * barrier (single-threaded, after the pool's happens-before hand-off)
- * drains every channel and injects the buffered deliveries into the
- * destination queues in the canonical (arrival, sent, sender domain,
- * send seq) order. A message sent at tick s arrives at >= s + L >= W,
- * so injections never land behind a destination's executed prefix.
- *
- * Determinism: both engines run the same construction sequence, and
- * with M+1 domains every sim's forkRng() is routed through ONE shared
- * master seeded like the serial Simulation — so all random streams are
- * bit-identical to the serial engine's. Window boundaries are pure
- * functions of queue state, never of thread scheduling, which makes
- * results independent of worker count (and byte-identical to the serial
- * engine whenever no injected delivery collides with an unrelated event
- * on the exact same nanosecond tick).
+ * Every non-degenerate cluster run: all machines, client populations,
+ * agents and the controller share one Simulation, run to the horizon.
  */
 ClusterExperimentResult
-runDomainEngine(const ClusterExperimentConfig &config)
+runCluster(const ClusterExperimentConfig &config)
 {
-    // Conservative synchronisation needs a nonzero lookahead (jitter >=
-    // delay admits same-tick cross-domain delivery), and the controller
-    // reads agent state across domains every period, which the window
-    // protocol does not order — both run on one domain.
-    const sim::Tick lookahead = clusterLookahead(config);
-    const bool parallel = config.clusterParallel &&
-                          !config.controller.enabled && lookahead > 0;
-    const std::size_t domains = parallel ? config.machines + 1 : 1;
-    const std::size_t client_domain = domains - 1;
-    auto domainOf = [parallel](unsigned m) -> std::size_t {
-        return parallel ? m : 0;
-    };
-
-    // With M+1 domains, all construction-time forks route through one
-    // master stream in construction order; Simulation(seed) seeds its
-    // private master exactly like this. One domain forks from its own.
-    sim::Rng master(config.seed);
-    std::vector<std::unique_ptr<sim::Simulation>> sims;
-    sims.reserve(domains);
-    for (std::size_t d = 0; d < domains; ++d) {
-        sims.push_back(std::make_unique<sim::Simulation>(config.seed));
-        if (parallel)
-            sims.back()->setForkSource(&master);
-    }
-    sim::Simulation &csim = *sims[client_domain];
+    sim::Simulation sim(config.seed);
 
     // Machines first (each owns a Kernel), machine-major tenant
     // placement after — the RNG fork order is part of the contract.
     std::vector<std::unique_ptr<workload::Machine>> machines;
     machines.reserve(config.machines);
-    std::vector<sim::Simulation *> backend_sims;
-    backend_sims.reserve(config.machines);
     for (unsigned m = 0; m < config.machines; ++m) {
         kernel::KernelConfig kc;
         kc.cpu = config.system.toCpuConfig();
@@ -164,9 +101,7 @@ runDomainEngine(const ClusterExperimentConfig &config)
             kc.cpu.quantum = config.schedQuantum;
         if (!config.machineSpeedFactors.empty())
             kc.cpu.speed *= config.machineSpeedFactors[m];
-        backend_sims.push_back(sims[domainOf(m)].get());
-        machines.push_back(
-            std::make_unique<workload::Machine>(*backend_sims.back(), kc));
+        machines.push_back(std::make_unique<workload::Machine>(sim, kc));
     }
     for (auto &machine : machines) {
         for (const ClusterTenantSpec &t : config.tenants)
@@ -198,8 +133,8 @@ runDomainEngine(const ClusterExperimentConfig &config)
             std::max(max_offered_seconds,
                      static_cast<double>(spec.requests) / spec.offeredRps);
         gens.push_back(std::make_unique<client::FleetLoadGenerator>(
-            csim, std::move(backends), backend_sims, config.netem,
-            config.tcp, cc, config.lbPolicy));
+            sim, std::move(backends), config.netem, config.tcp, cc,
+            config.lbPolicy));
     }
 
     // Offered-load schedules (diurnal curves, flash crowds). Phases are
@@ -212,8 +147,8 @@ runDomainEngine(const ClusterExperimentConfig &config)
         for (const LoadPhase &phase : spec.loadProfile) {
             min_load_factor = std::min(min_load_factor, phase.factor);
             const double rps = spec.offeredRps * phase.factor;
-            csim.scheduleAt(phase.at,
-                            [gen, rps] { gen->setOfferedRps(rps); });
+            sim.scheduleAt(phase.at,
+                           [gen, rps] { gen->setOfferedRps(rps); });
         }
     }
 
@@ -237,8 +172,7 @@ runDomainEngine(const ClusterExperimentConfig &config)
     }
 
     // Closed-loop controller (disabled by default: nothing below runs,
-    // nothing is scheduled, existing runs are bit-identical). Enabled,
-    // it forces one domain, so csim is the whole cluster's simulation.
+    // nothing is scheduled, existing runs are bit-identical).
     std::unique_ptr<FleetController> controller;
     if (config.controller.enabled) {
         // Pre-provision scalable worker pools before the machines start:
@@ -265,7 +199,7 @@ runDomainEngine(const ClusterExperimentConfig &config)
                 machines[m]->tenant(t).setWorkerTarget(workers);
         };
         controller = std::make_unique<FleetController>(
-            csim, config.controller, config.machines, config.tenants.size(),
+            sim, config.controller, config.machines, config.tenants.size(),
             std::move(act));
         controller->setInputProvider([&agents, &config] {
             std::vector<ControllerInput> inputs;
@@ -292,35 +226,6 @@ runDomainEngine(const ClusterExperimentConfig &config)
         });
     }
 
-    // Construction (and therefore forking) is complete; a late fork from
-    // a domain thread would race on the shared master, so cut it off.
-    for (auto &s : sims)
-        s->setForkSource(nullptr);
-
-    // Switch every cross-domain pipe into envelope mode. One channel per
-    // pipe direction; send-order stamps come from a per-sender-domain
-    // counter shared by all of that domain's channels. A link whose two
-    // ends share a domain (every link, with one domain) stays direct.
-    std::vector<std::uint64_t> send_seq(domains, 0);
-    std::vector<std::unique_ptr<net::CrossDomainChannel>> channels;
-    for (std::size_t t = 0; t < gens.size(); ++t) {
-        for (unsigned m = 0; m < config.machines; ++m) {
-            if (domainOf(m) == client_domain)
-                continue;
-            for (std::size_t i = 0; i < gens[t]->linkCount(m); ++i) {
-                net::Link &link = gens[t]->link(m, i);
-                channels.push_back(
-                    std::make_unique<net::CrossDomainChannel>(
-                        client_domain, m, &send_seq[client_domain]));
-                link.upPipe().setRemote(channels.back().get());
-                channels.push_back(
-                    std::make_unique<net::CrossDomainChannel>(
-                        m, client_domain, &send_seq[m]));
-                link.downPipe().setRemote(channels.back().get());
-            }
-        }
-    }
-
     for (auto &machine : machines)
         machine->start();
     for (auto &agent : agents)
@@ -338,65 +243,7 @@ runDomainEngine(const ClusterExperimentConfig &config)
                    max_qos, config.netem) +
         (config.controller.enabled ? sim::seconds(4) : 0);
 
-    // Conservative time advance: no event below `earliest` exists
-    // anywhere, so no message can arrive anywhere before earliest + L —
-    // every domain may run freely up to (exclusive) that bound. The
-    // bound is horizon + 1 because runUntil(horizon) still executes
-    // events at exactly the horizon tick. One domain receives no
-    // messages, so its single window runs straight to the bound.
-    const sim::Tick bound = horizon + 1;
-    const sim::Tick step = parallel ? lookahead : bound;
-    const unsigned workers =
-        resolveWorkerCount(config.clusterWorkers, domains);
-    std::uint64_t windows = 0;
-    std::uint64_t messages = 0;
-    struct Injection
-    {
-        net::CrossDomainEnvelope env;
-        net::CrossDomainChannel *channel = nullptr;
-    };
-    std::vector<Injection> pending;
-    for (;;) {
-        sim::Tick earliest = sim::kTickMax;
-        for (auto &s : sims)
-            earliest = std::min(earliest, s->nextEventTick());
-        if (earliest >= bound)
-            break;
-        const sim::Tick wend = std::min<sim::Tick>(bound, earliest + step);
-        poolRun(domains, workers,
-                [&](std::size_t d) { sims[d]->runWindow(wend); });
-        ++windows;
-
-        pending.clear();
-        for (auto &ch : channels) {
-            if (ch->empty())
-                continue;
-            for (net::CrossDomainEnvelope &env : ch->drain())
-                pending.push_back({std::move(env), ch.get()});
-        }
-        std::sort(pending.begin(), pending.end(),
-                  [](const Injection &a, const Injection &b) {
-                      return std::make_tuple(a.env.arrival, a.env.sent,
-                                             a.channel->senderDomain(),
-                                             a.env.seq) <
-                             std::make_tuple(b.env.arrival, b.env.sent,
-                                             b.channel->senderDomain(),
-                                             b.env.seq);
-                  });
-        for (Injection &inj : pending) {
-            net::TcpPipe *pipe = inj.channel->pipe();
-            sims[inj.channel->destDomain()]->scheduleAt(
-                inj.env.arrival,
-                [pipe, msg = std::move(inj.env.msg)]() mutable {
-                    pipe->deliverRemote(std::move(msg));
-                });
-            ++messages;
-        }
-    }
-    // Every event up to the horizon has run; this only advances each
-    // clock to the horizon.
-    for (auto &s : sims)
-        s->runUntil(horizon);
+    sim.runUntil(horizon);
 
     ClusterExperimentResult out;
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
@@ -460,14 +307,6 @@ runDomainEngine(const ClusterExperimentConfig &config)
     for (auto &gen : gens)
         gen->stop();
 
-    // Engine telemetry describes the parallel engine only; the serial
-    // engine reports zeros.
-    if (parallel) {
-        out.engineParallel = true;
-        out.lookaheadNs = lookahead;
-        out.barrierWindows = windows;
-        out.crossDomainMessages = messages;
-    }
     return out;
 }
 
@@ -509,7 +348,7 @@ runClusterExperiment(const ClusterExperimentConfig &config)
         return liftDegenerate(config, runExperiment(single));
     }
 
-    return runDomainEngine(config);
+    return runCluster(config);
 }
 
 std::vector<ClusterExperimentResult>
@@ -517,8 +356,7 @@ runClusterExperimentsParallel(
     const std::vector<ClusterExperimentConfig> &configs, unsigned threads)
 {
     // Same worker pool and REQOBS_JOBS semantics as every other parallel
-    // harness: one process-wide thread budget. A clusterParallel run
-    // inside this batch runs its windows inline on its pool worker.
+    // harness: one process-wide thread budget.
     std::vector<ClusterExperimentResult> out(configs.size());
     poolRun(configs.size(), resolveWorkerCount(threads, configs.size()),
             [&](std::size_t i) { out[i] = runClusterExperiment(configs[i]); });

@@ -10,10 +10,9 @@
  * (and every figure bench built on it) is bit-identical to the
  * pre-cluster harness by construction.
  *
- * Every other run goes through one engine with one construction
- * sequence, one run loop and one result collection over its simulation
- * domains: a single domain (the serial engine) or, under
- * clusterParallel, one domain per machine plus one for the clients.
+ * Every other run builds all machines and client populations on one
+ * Simulation and runs it to the horizon (DESIGN.md §13 records why
+ * there is no parallel engine).
  */
 
 #ifndef REQOBS_CORE_CLUSTER_HH
@@ -103,27 +102,6 @@ struct ClusterExperimentConfig
     /** Co-locate a best-effort CPU antagonist on every machine. */
     bool antagonist = false;
     workload::AntagonistConfig antagonistConfig;
-
-    /**
-     * @name Parallel discrete-event engine (see DESIGN.md §13).
-     *
-     * When enabled, the cluster is built into M+1 simulation domains
-     * instead of one: every machine and the client population become
-     * independent domains executed on the shared worker pool,
-     * synchronised by conservative lookahead windows derived from the
-     * netem one-way delay. Construction, run loop and result collection
-     * are the serial engine's own, so the result is bit-identical to
-     * it; configurations the conservative protocol cannot handle (zero
-     * lookahead because jitter >= delay, or an enabled controller, whose
-     * control loop reads across domains every period) silently run on
-     * one domain, i.e. the serial engine — check
-     * ClusterExperimentResult::engineParallel for what actually ran.
-     * @{
-     */
-    bool clusterParallel = false;
-    /** Domain workers; 0 = REQOBS_JOBS / hardware concurrency. */
-    unsigned clusterWorkers = 0;
-    /** @} */
 };
 
 /** One tenant's outcome on one machine. */
@@ -180,38 +158,10 @@ struct ClusterExperimentResult
     std::int64_t probeCostNs = 0;
     /** Controller behaviour over the run (zeros when disabled). */
     ControllerStats controller;
-
-    /**
-     * @name Engine telemetry (appended; worker-count independent).
-     *
-     * These describe HOW the run executed, not what it computed, and are
-     * therefore excluded from the serial-vs-parallel bit-identity
-     * contract (they differ between engines by definition). They are
-     * identical across repeated runs and across worker counts of the
-     * parallel engine.
-     * @{
-     */
-    /** True when the parallel domain engine executed this run. */
-    bool engineParallel = false;
-    /** Conservative lookahead used (0 on the serial engine). */
-    sim::Tick lookaheadNs = 0;
-    /** Lookahead windows executed (0 on the serial engine). */
-    std::uint64_t barrierWindows = 0;
-    /** Envelopes exchanged across domain boundaries. */
-    std::uint64_t crossDomainMessages = 0;
-    /** @} */
 };
 
 /** True when @p config reduces to a plain runExperiment() call. */
 bool isDegenerateCluster(const ClusterExperimentConfig &config);
-
-/**
- * The conservative lookahead the parallel engine would use for
- * @p config: the minimum cross-domain (netem) latency. Zero means the
- * configuration is ineligible for parallel execution — clusterParallel
- * then falls back to the serial engine.
- */
-sim::Tick clusterLookahead(const ClusterExperimentConfig &config);
 
 /** Run one cluster experiment; fully deterministic for a given config. */
 ClusterExperimentResult

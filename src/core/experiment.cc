@@ -265,12 +265,6 @@ parallelJobsFromEnv()
     return static_cast<unsigned>(v);
 }
 
-unsigned
-effectiveParallelJobs(std::size_t jobs)
-{
-    return resolveWorkerCount(0, jobs);
-}
-
 std::vector<ExperimentResult>
 runExperimentsParallel(const std::vector<ExperimentConfig> &configs,
                        unsigned threads)
@@ -306,14 +300,6 @@ runSweepParallel(const ExperimentConfig &base,
         out.push_back(std::move(p));
     }
     return out;
-}
-
-std::vector<SweepPoint>
-runLoadSweep(const ExperimentConfig &base,
-             const std::vector<double> &load_fractions)
-{
-    return runSweepParallel(base, load_fractions, SweepScaling{},
-                            /*threads=*/1);
 }
 
 } // namespace reqobs::core

@@ -212,15 +212,6 @@ runExperimentsParallel(const std::vector<ExperimentConfig> &configs,
 unsigned parallelJobsFromEnv();
 
 /**
- * The worker count runExperimentsParallel(threads=0) would actually use
- * for @p jobs independent runs: REQOBS_JOBS env override, else hardware
- * concurrency (with a serial fallback when the runtime reports 0
- * cores), clamped to [1, jobs]. Exposed so benches can record the
- * effective parallelism next to their timings instead of guessing.
- */
-unsigned effectiveParallelJobs(std::size_t jobs);
-
-/**
  * Parallel load sweep: one experiment per fraction, results in input
  * order. Equivalent to (and checked against) mapping runExperiment over
  * sweepPointConfig serially.
@@ -229,16 +220,6 @@ std::vector<SweepPoint>
 runSweepParallel(const ExperimentConfig &base,
                  const std::vector<double> &load_fractions,
                  const SweepScaling &scaling = {}, unsigned threads = 0);
-
-/**
- * Sweep offered load across @p load_fractions of the workload's
- * saturation RPS, reusing @p base for every other knob. Request counts
- * scale with the rate so each point sees enough syscalls.
- * Serial wrapper kept for compatibility; runs through runSweepParallel
- * with a single thread.
- */
-std::vector<SweepPoint> runLoadSweep(const ExperimentConfig &base,
-                                     const std::vector<double> &load_fractions);
 
 } // namespace reqobs::core
 

@@ -21,8 +21,6 @@ namespace {
  * std::thread set per runExperimentsParallel call; figure sweeps issue
  * many short batches back-to-back, and on those the clone/join cost per
  * call ate the entire parallel win (the sweep bench measured ~1.0x).
- * The parallel cluster engine leans on the same property even harder:
- * it publishes one batch per lookahead window, thousands per run.
  * Threads are created lazily, grow to the largest worker count ever
  * requested, and block on a condition variable between batches, so
  * batch N+1 reuses batch N's warm threads.

@@ -5,10 +5,6 @@
  *
  * Every numeric field is rendered exactly (hex floats for doubles), so
  * two serializations compare equal iff the results are bit-identical.
- * Engine telemetry (engineParallel, lookaheadNs, barrierWindows,
- * crossDomainMessages) is excluded unless requested: those fields
- * describe which engine ran and differ between serial and parallel
- * executions by definition, while the physics must not.
  */
 
 #ifndef REQOBS_TESTS_CLUSTER_BYTES_HH
@@ -22,8 +18,7 @@
 namespace reqobs::test {
 
 inline std::string
-clusterBytes(const core::ClusterExperimentResult &r,
-             bool include_engine = false)
+clusterBytes(const core::ClusterExperimentResult &r)
 {
     std::string out;
     char buf[512];
@@ -70,12 +65,6 @@ clusterBytes(const core::ClusterExperimentResult &r,
                  (unsigned long long)s.sendCount, s.contributors,
                  s.runqP99Ns);
         }
-    }
-    if (include_engine) {
-        emit("engine par=%d la=%lld w=%llu msg=%llu\n",
-             (int)r.engineParallel, (long long)r.lookaheadNs,
-             (unsigned long long)r.barrierWindows,
-             (unsigned long long)r.crossDomainMessages);
     }
     return out;
 }

@@ -339,11 +339,11 @@ TEST(ClusterExperimentTest, AntagonistStaysOutOfTenantCounters)
 }
 
 // ---------------------------------------------------------------------
-// Parallel discrete-event engine: serial equivalence and fallbacks.
+// Batch runner: pool-thread cluster runs equal serial calls.
 
-/** A fleet config with nonzero lookahead (delay > jitter). */
+/** A lossy 3-machine fleet behind netem. */
 core::ClusterExperimentConfig
-parallelClusterConfig()
+lossyClusterConfig()
 {
     core::ClusterExperimentConfig cc;
     core::ClusterTenantSpec t;
@@ -363,10 +363,10 @@ parallelClusterConfig()
  * The fleet shape of the runqlat benches, kept small: 2 tenants on a
  * speed-skewed 3-machine fleet, the discrete scheduler with the runqlat
  * family, a 48-thread antagonist waking mid-run, a two-phase load
- * profile, and the same nonzero-lookahead netem.
+ * profile, and the same netem.
  */
 core::ClusterExperimentConfig
-fleetShapedParallelConfig()
+fleetShapedConfig()
 {
     core::ClusterExperimentConfig cc;
     for (const char *name : {"img-dnn", "silo"}) {
@@ -392,64 +392,28 @@ fleetShapedParallelConfig()
     return cc;
 }
 
-TEST(ParallelClusterTest, BitIdenticalToSerialEngine)
+TEST(ClusterExperimentTest, PoolBatchMatchesSerialRuns)
 {
-    for (core::ClusterExperimentConfig cc :
-         {parallelClusterConfig(), fleetShapedParallelConfig()}) {
-        const auto serial = core::runClusterExperiment(cc);
-        EXPECT_FALSE(serial.engineParallel);
-
-        cc.clusterParallel = true;
-        cc.clusterWorkers = 2;
-        const auto par = core::runClusterExperiment(cc);
-        EXPECT_TRUE(par.engineParallel);
-        EXPECT_EQ(par.lookaheadNs, core::clusterLookahead(cc));
-        EXPECT_GT(par.barrierWindows, 0u);
-        EXPECT_GT(par.crossDomainMessages, 0u);
-
+    const std::vector<core::ClusterExperimentConfig> configs = {
+        lossyClusterConfig(), fleetShapedConfig()};
+    // Two pool threads run whole cluster runs side by side, the
+    // discrete scheduler's per-machine run queues included.
+    const auto batch = core::runClusterExperimentsParallel(configs, 2);
+    ASSERT_EQ(batch.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto serial = core::runClusterExperiment(configs[i]);
         // The physics — every latency percentile, every per-machine
         // counter, every fleet sample, the run-queue family included —
-        // must be byte-for-byte what the serial engine computed.
-        EXPECT_EQ(test::clusterBytes(serial), test::clusterBytes(par));
+        // must be byte-for-byte what a serial call computed.
+        EXPECT_EQ(test::clusterBytes(serial), test::clusterBytes(batch[i]))
+            << i;
         for (const core::ClusterTenantResult &t : serial.tenants) {
             EXPECT_GT(t.completed, 0u) << t.name;
-            if (cc.agent.runqlatHistogram) {
+            if (configs[i].agent.runqlatHistogram) {
                 EXPECT_GT(t.runqP99Ns, 0.0) << t.name;
             }
         }
     }
-}
-
-TEST(ParallelClusterTest, ZeroLookaheadFallsBackToSerial)
-{
-    core::ClusterExperimentConfig cc = parallelClusterConfig();
-    cc.netem.jitter = cc.netem.delay; // same-tick delivery possible
-    ASSERT_EQ(core::clusterLookahead(cc), 0);
-
-    const auto serial = core::runClusterExperiment(cc);
-    cc.clusterParallel = true;
-    const auto par = core::runClusterExperiment(cc);
-    // The conservative protocol cannot run: silently identical serial.
-    EXPECT_FALSE(par.engineParallel);
-    EXPECT_EQ(par.barrierWindows, 0u);
-    EXPECT_EQ(test::clusterBytes(serial, true),
-              test::clusterBytes(par, true));
-}
-
-TEST(ParallelClusterTest, ControllerForcesSerialFallback)
-{
-    core::ClusterExperimentConfig cc = parallelClusterConfig();
-    cc.controller.enabled = true;
-
-    const auto serial = core::runClusterExperiment(cc);
-    cc.clusterParallel = true;
-    const auto par = core::runClusterExperiment(cc);
-    // The control loop reads agent state across domains every period;
-    // the window protocol does not order those reads, so the engine
-    // must refuse and fall back.
-    EXPECT_FALSE(par.engineParallel);
-    EXPECT_EQ(test::clusterBytes(serial, true),
-              test::clusterBytes(par, true));
 }
 
 } // namespace
