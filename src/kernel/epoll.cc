@@ -1,6 +1,7 @@
 #include "kernel/epoll.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -8,8 +9,10 @@ namespace reqobs::kernel {
 
 EpollInstance::~EpollInstance()
 {
-    for (auto &[fd, file] : interest_)
-        file->removeObserver(this);
+    for (const auto &file : interest_) {
+        if (file)
+            file->removeObserver(this);
+    }
 }
 
 void
@@ -17,9 +20,16 @@ EpollInstance::add(Fd fd, const std::shared_ptr<File> &file)
 {
     if (!file)
         sim::panic("EpollInstance::add: null file");
-    auto [it, inserted] = interest_.emplace(fd, file);
-    if (!inserted)
+    if (fd < 0)
+        sim::fatal("EpollInstance::add: negative fd %d", fd);
+    const auto slot = static_cast<std::size_t>(fd);
+    if (slot >= interest_.size()) {
+        interest_.resize(slot + 1);
+        ready_.resize(slot / 64 + 1);
+    }
+    if (interest_[slot])
         sim::fatal("EpollInstance::add: fd %d already registered", fd);
+    interest_[slot] = file;
     file->addObserver(this, fd);
     if (file->readable())
         onReadable(fd);
@@ -28,50 +38,82 @@ EpollInstance::add(Fd fd, const std::shared_ptr<File> &file)
 void
 EpollInstance::remove(Fd fd)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end())
+    if (fd < 0 || static_cast<std::size_t>(fd) >= interest_.size() ||
+        !interest_[fd])
         return;
-    it->second->removeObserver(this);
-    interest_.erase(it);
+    interest_[fd]->removeObserver(this);
+    interest_[fd].reset();
+    ready_[fd / 64] &= ~(std::uint64_t{1} << (fd % 64));
+}
+
+Fd
+EpollInstance::nextCandidate(Fd from) const
+{
+    std::size_t word = static_cast<std::size_t>(from) / 64;
+    if (word >= ready_.size())
+        return kNoFd;
+    std::uint64_t bits = ready_[word] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+        if (++word == ready_.size())
+            return kNoFd;
+        bits = ready_[word];
+    }
+    return static_cast<Fd>(word * 64 + std::countr_zero(bits));
+}
+
+bool
+EpollInstance::scanReady(Fd lo, Fd hi, std::size_t max_events,
+                         std::vector<ReadyFd> &out)
+{
+    for (Fd fd = nextCandidate(lo); fd < hi; fd = nextCandidate(fd + 1)) {
+        const File &file = *interest_[fd];
+        if (!file.readable()) {
+            ready_[fd / 64] &= ~(std::uint64_t{1} << (fd % 64));
+            continue;
+        }
+        out.push_back(ReadyFd{fd, true, file.writable()});
+        scanCursor_ = fd;
+        if (out.size() >= max_events)
+            return false;
+    }
+    return true;
 }
 
 std::vector<ReadyFd>
 EpollInstance::collectReady(std::size_t max_events)
 {
     std::vector<ReadyFd> out;
-    if (interest_.empty() || max_events == 0)
+    if (max_events == 0)
         return out;
-    // Start the scan after the cursor for round-robin fairness across fds.
-    auto start = interest_.upper_bound(scanCursor_);
-    if (start == interest_.end())
-        start = interest_.begin();
-    auto it = start;
-    do {
-        if (it->second->readable()) {
-            out.push_back(ReadyFd{it->first, true,
-                                  it->second->writable()});
-            scanCursor_ = it->first;
-            if (out.size() >= max_events)
-                break;
-        }
-        ++it;
-        if (it == interest_.end())
-            it = interest_.begin();
-    } while (it != start);
+    // Round-robin fairness across fds: candidates above the cursor
+    // first, then from the bottom up to it. That is the cyclic order a
+    // full interest-list scan starting after the cursor would visit,
+    // and the ready set holds every readable fd, so the result is the
+    // same as that scan's.
+    const Fd cursor = scanCursor_;
+    const auto end = static_cast<Fd>(interest_.size());
+    if (scanReady(cursor + 1, end, max_events, out))
+        scanReady(0, std::min(cursor + 1, end), max_events, out);
     return out;
 }
 
 bool
 EpollInstance::readable() const
 {
-    return std::any_of(interest_.begin(), interest_.end(), [](const auto &p) {
-        return p.second->readable();
-    });
+    for (Fd fd = nextCandidate(0); fd != kNoFd; fd = nextCandidate(fd + 1)) {
+        if (interest_[fd]->readable())
+            return true;
+    }
+    return false;
 }
 
 void
-EpollInstance::onReadable(Fd)
+EpollInstance::onReadable(Fd fd)
 {
+    // Queue the fd on the ready set (a registration removed mid-notify
+    // may still deliver one edge from the notifier's snapshot).
+    if (static_cast<std::size_t>(fd) < interest_.size() && interest_[fd])
+        ready_[fd / 64] |= std::uint64_t{1} << (fd % 64);
     // Propagate to anything polling this epoll fd itself.
     signalReadable();
     // Wake exactly one blocked waiter per edge.

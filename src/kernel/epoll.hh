@@ -4,8 +4,10 @@
  *
  * Semantics follow Linux closely enough for the workloads here:
  *  - interest list of (fd, File) pairs, level-triggered readability;
- *  - epoll_wait scans the interest list first and returns immediately if
- *    anything is ready, else blocks until a readiness edge or timeout;
+ *  - a ready set (Linux's rdllist) that readiness edges fill: epoll_wait
+ *    scans only the ready set, so it costs O(ready fds), not O(watched
+ *    fds), and returns immediately if anything is ready, else blocks
+ *    until a readiness edge or timeout;
  *  - multiple concurrent waiters are woken one-per-edge in FIFO order
  *    (EPOLLEXCLUSIVE-style, which is what multi-threaded servers want).
  */
@@ -16,7 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -34,7 +36,6 @@ class EpollInstance : public File, public ReadinessObserver
     /** @name Interest list (epoll_ctl). @{ */
     void add(Fd fd, const std::shared_ptr<File> &file);
     void remove(Fd fd);
-    std::size_t interestCount() const { return interest_.size(); }
     /** @} */
 
     /** Ready fds right now, capped at @p max_events, round-robin fair. */
@@ -57,9 +58,29 @@ class EpollInstance : public File, public ReadinessObserver
     std::size_t waiterCount() const { return waiters_.size(); }
 
   private:
-    std::map<Fd, std::shared_ptr<File>> interest_;
+    /** Watched files, indexed by fd (null = not watched). */
+    std::vector<std::shared_ptr<File>> interest_;
+    /**
+     * Ready set: a bitmap over fds, one bit per candidate. Invariant:
+     * every readable watched fd is a candidate (edges insert, add()
+     * inserts an already-readable file, remove() erases). Candidates
+     * that went unreadable are erased lazily by collectReady, so the
+     * set is a superset of the readable fds, never a subset.
+     */
+    std::vector<std::uint64_t> ready_;
     /** Rotates so collectReady doesn't always favour low fds. */
     Fd scanCursor_ = 0;
+
+    static constexpr Fd kNoFd = std::numeric_limits<Fd>::max();
+
+    /** Smallest candidate >= @p from, or kNoFd. */
+    Fd nextCandidate(Fd from) const;
+    /**
+     * Collect readable candidates in [lo, hi), dropping unreadable ones;
+     * false once @p out is full.
+     */
+    bool scanReady(Fd lo, Fd hi, std::size_t max_events,
+                   std::vector<ReadyFd> &out);
 
     struct Waiter
     {

@@ -33,7 +33,9 @@ class ReadinessObserver
 /**
  * A pollable kernel object. Subclasses call signalReadable() whenever
  * their readable() predicate may have turned true; observers are then
- * notified (level semantics are re-checked by the poller).
+ * notified (level semantics are re-checked by the poller). Every rising
+ * readable edge must be signalled: epoll's ready set only learns about
+ * readiness from these edges, so an unsignalled edge is a lost event.
  */
 class File
 {
@@ -69,6 +71,12 @@ class File
     signalReadable()
     {
         // Copy: observers may unregister themselves while being notified.
+        // The common single-observer case copies just the one pair.
+        if (observers_.size() == 1) {
+            const auto [obs, cookie] = observers_.front();
+            obs->onReadable(cookie);
+            return;
+        }
         const auto snapshot = observers_;
         for (const auto &[obs, cookie] : snapshot)
             obs->onReadable(cookie);

@@ -42,7 +42,7 @@ IoUring::~IoUring()
 void
 IoUring::registerRecv(Fd fd)
 {
-    auto sock = kernel_.socketAt(pid_, fd);
+    auto sock = kernel_.sharedSocketAt(pid_, fd);
     if (!sock)
         sim::fatal("IoUring::registerRecv: fd %d is not a socket", fd);
     auto [it, inserted] = recvArmed_.emplace(fd, sock);
@@ -97,7 +97,7 @@ void
 IoUring::submitSend(Fd fd, Message msg)
 {
     ++submissions_;
-    auto sock = kernel_.socketAt(pid_, fd);
+    auto sock = kernel_.sharedSocketAt(pid_, fd);
     if (!sock)
         sim::fatal("IoUring::submitSend: fd %d is not a socket", fd);
     auto alive = alive_;

@@ -101,9 +101,19 @@ Fd
 Kernel::installFile(Pid pid, std::shared_ptr<File> file)
 {
     Process &proc = processOf(pid);
-    const Fd fd = proc.nextFd++;
-    proc.fds.emplace(fd, std::move(file));
+    const auto fd = static_cast<Fd>(proc.fds.size());
+    Socket *socket = dynamic_cast<Socket *>(file.get());
+    proc.fds.push_back(FdSlot{std::move(file), socket});
     return fd;
+}
+
+const Kernel::FdSlot *
+Kernel::slotAt(Pid pid, Fd fd) const
+{
+    const Process &proc = processOf(pid);
+    if (fd < 0 || static_cast<std::size_t>(fd) >= proc.fds.size())
+        return nullptr;
+    return &proc.fds[fd];
 }
 
 sim::EventId
@@ -238,13 +248,13 @@ Kernel::epollCtlAdd(Tid tid, Fd epfd, Fd fd)
 {
     Thread &t = threadOf(tid);
     fireEnter(tid, syscallId(Syscall::EpollCtl));
-    auto ep = epollAt(t.pid, epfd);
+    EpollInstance *ep = epollAt(t.pid, epfd);
     if (!ep)
         sim::fatal("epoll_ctl: fd %d is not an epoll instance", epfd);
-    auto file = fileAt(t.pid, fd);
-    if (!file)
+    const FdSlot *slot = slotAt(t.pid, fd);
+    if (!slot || !slot->file)
         sim::fatal("epoll_ctl: fd %d does not exist", fd);
-    ep->add(fd, file);
+    ep->add(fd, slot->file);
     fireExit(tid, syscallId(Syscall::EpollCtl), 0);
 }
 
@@ -276,7 +286,7 @@ void
 Kernel::enqueueIncomingConnection(Pid pid, Fd listen_fd,
                                   std::shared_ptr<Socket> sock)
 {
-    auto listener = listenerAt(pid, listen_fd);
+    ListenSocket *listener = listenerAt(pid, listen_fd);
     if (!listener)
         sim::fatal("enqueueIncomingConnection: fd %d is not listening",
                    listen_fd);
@@ -310,30 +320,39 @@ Kernel::socketPair(Pid pid_a, Pid pid_b, sim::Tick latency)
     return {fd_a, fd_b};
 }
 
-std::shared_ptr<File>
+File *
 Kernel::fileAt(Pid pid, Fd fd) const
 {
-    const Process &proc = processOf(pid);
-    auto it = proc.fds.find(fd);
-    return it == proc.fds.end() ? nullptr : it->second;
+    const FdSlot *slot = slotAt(pid, fd);
+    return slot ? slot->file.get() : nullptr;
+}
+
+Socket *
+Kernel::socketAt(Pid pid, Fd fd) const
+{
+    const FdSlot *slot = slotAt(pid, fd);
+    return slot ? slot->socket : nullptr;
 }
 
 std::shared_ptr<Socket>
-Kernel::socketAt(Pid pid, Fd fd) const
+Kernel::sharedSocketAt(Pid pid, Fd fd) const
 {
-    return std::dynamic_pointer_cast<Socket>(fileAt(pid, fd));
+    const FdSlot *slot = slotAt(pid, fd);
+    if (!slot || !slot->socket)
+        return nullptr;
+    return std::shared_ptr<Socket>(slot->file, slot->socket);
 }
 
-std::shared_ptr<EpollInstance>
+EpollInstance *
 Kernel::epollAt(Pid pid, Fd fd) const
 {
-    return std::dynamic_pointer_cast<EpollInstance>(fileAt(pid, fd));
+    return dynamic_cast<EpollInstance *>(fileAt(pid, fd));
 }
 
-std::shared_ptr<ListenSocket>
+ListenSocket *
 Kernel::listenerAt(Pid pid, Fd fd) const
 {
-    return std::dynamic_pointer_cast<ListenSocket>(fileAt(pid, fd));
+    return dynamic_cast<ListenSocket *>(fileAt(pid, fd));
 }
 
 // -------------------------------------------------------- syscall ops
@@ -503,7 +522,7 @@ SelectOp::await_suspend(std::coroutine_handle<> h)
         k_.fireEnter(tid_, syscallId(Syscall::Select));
 
     for (Fd fd : fds_) {
-        auto file = k_.fileAt(k_.threadOf(tid_).pid, fd);
+        File *file = k_.fileAt(k_.threadOf(tid_).pid, fd);
         if (file && file->readable())
             result_.push_back(fd);
     }
@@ -517,7 +536,7 @@ SelectOp::await_suspend(std::coroutine_handle<> h)
     state_ = State::Waiting;
     observing_ = true;
     for (Fd fd : fds_) {
-        auto file = k_.fileAt(k_.threadOf(tid_).pid, fd);
+        File *file = k_.fileAt(k_.threadOf(tid_).pid, fd);
         if (file)
             file->addObserver(this, fd);
     }
@@ -550,7 +569,7 @@ SelectOp::unobserve()
     observing_ = false;
     const Pid pid = k_.threadOf(tid_).pid;
     for (Fd fd : fds_) {
-        auto file = k_.fileAt(pid, fd);
+        File *file = k_.fileAt(pid, fd);
         if (file)
             file->removeObserver(this);
     }
@@ -584,7 +603,7 @@ SelectOp::finishScan()
     const Pid pid = k_.threadOf(tid_).pid;
     result_.clear();
     for (Fd fd : fds_) {
-        auto file = k_.fileAt(pid, fd);
+        File *file = k_.fileAt(pid, fd);
         if (file && file->readable())
             result_.push_back(fd);
     }
@@ -597,7 +616,7 @@ SelectOp::finishScan()
         state_ = State::Waiting;
         observing_ = true;
         for (Fd fd : fds_) {
-            auto file = k_.fileAt(pid, fd);
+            File *file = k_.fileAt(pid, fd);
             if (file)
                 file->addObserver(this, fd);
         }
@@ -641,7 +660,7 @@ RecvOp::start()
             k_.scheduleGuarded(exit_cost, [this] { start(); });
             return;
         }
-        auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
+        Socket *sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
         if (!sock || !sock->hasData() || (f && f->injectEagain())) {
             result_.ret = kEagain;
             k_.finishSyscall(tid_, syscallId(which_), result_.ret, h_);
@@ -711,7 +730,7 @@ SendOp::start()
             k_.scheduleGuarded(exit_cost, [this] { start(); });
             return;
         }
-        auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
+        Socket *sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
         if (!sock) {
             ret_ = kEagain;
             k_.finishSyscall(tid_, syscallId(which_), ret_, h_);
@@ -742,7 +761,7 @@ SendOp::partialStep()
     --piecesLeft_;
     const auto ret = static_cast<std::int64_t>(this_bytes);
     if (piecesLeft_ == 0) {
-        auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
+        Socket *sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
         if (sock)
             sock->transmit(std::move(msg_));
         k_.finishSyscall(tid_, syscallId(which_), ret, h_);
@@ -766,7 +785,7 @@ AcceptOp::await_suspend(std::coroutine_handle<> h)
         k_.fireEnter(tid_, syscallId(Syscall::Accept));
     k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost, [this] {
         const Pid pid = k_.threadOf(tid_).pid;
-        auto listener = k_.listenerAt(pid, listenFd_);
+        ListenSocket *listener = k_.listenerAt(pid, listenFd_);
         if (listener && listener->hasPending()) {
             newFd_ = k_.installFile(pid, listener->acceptOne());
         } else {

@@ -97,7 +97,7 @@ class EpollWaitOp
     std::size_t maxEvents_;
     sim::Tick timeout_; ///< -1 = block forever
     std::coroutine_handle<> h_;
-    std::shared_ptr<EpollInstance> ep_;
+    EpollInstance *ep_ = nullptr;
     std::vector<ReadyFd> result_;
     State state_ = State::Waiting;
     EpollInstance::WaiterId waiterId_ = 0;
@@ -329,10 +329,18 @@ class Kernel
      */
     std::pair<Fd, Fd> socketPair(Pid pid_a, Pid pid_b, sim::Tick latency);
 
-    std::shared_ptr<Socket> socketAt(Pid pid, Fd fd) const;
-    std::shared_ptr<EpollInstance> epollAt(Pid pid, Fd fd) const;
-    std::shared_ptr<ListenSocket> listenerAt(Pid pid, Fd fd) const;
-    std::shared_ptr<File> fileAt(Pid pid, Fd fd) const;
+    /**
+     * The file at @p fd. This and the typed lookups below return null
+     * for a negative fd, an fd past the table, or an fd of another
+     * kind. The raw pointers are borrowed: fds are never closed, so
+     * they stay valid while the kernel lives.
+     */
+    File *fileAt(Pid pid, Fd fd) const;
+    Socket *socketAt(Pid pid, Fd fd) const;
+    /** socketAt() with shared ownership, for callers that keep it. */
+    std::shared_ptr<Socket> sharedSocketAt(Pid pid, Fd fd) const;
+    EpollInstance *epollAt(Pid pid, Fd fd) const;
+    ListenSocket *listenerAt(Pid pid, Fd fd) const;
     /** @} */
 
     /** @name Awaitable syscalls (see the op classes above). @{ */
@@ -388,12 +396,22 @@ class Kernel
     friend class ComputeOp;
     friend class SleepOp;
 
+    /** One fd-table entry; `socket` is `file` typed, when it is one. */
+    struct FdSlot
+    {
+        std::shared_ptr<File> file;
+        Socket *socket = nullptr;
+    };
+
     struct Process
     {
         Pid pid;
         std::string name;
-        std::map<Fd, std::shared_ptr<File>> fds;
-        Fd nextFd = 3;
+        /**
+         * Indexed by fd. Fds are handed out densely from 3 and never
+         * closed, so the table only grows; 0-2 stay empty.
+         */
+        std::vector<FdSlot> fds = std::vector<FdSlot>(3);
     };
 
     struct Thread
@@ -430,6 +448,7 @@ class Kernel
     Thread &threadOf(Tid tid);
 
     Fd installFile(Pid pid, std::shared_ptr<File> file);
+    const FdSlot *slotAt(Pid pid, Fd fd) const;
 
     /** Fire sys_enter for @p tid; returns total probe cost. */
     sim::Tick fireEnter(Tid tid, std::int64_t syscall);

@@ -344,7 +344,7 @@ FrontDoor::acceptorBody(kernel::Kernel &k, kernel::Tid tid, unsigned listener)
                     if (cfd < 0)
                         break;
                     k.epollCtlAdd(tid, epfd, cfd);
-                    onAccepted(listener, k.socketAt(l.pid, cfd));
+                    onAccepted(listener, k.sharedSocketAt(l.pid, cfd));
                 }
                 continue;
             }

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "kernel/kernel.hh"
@@ -188,6 +192,132 @@ TEST(EpollTest, RemoveFdStopsNotifications)
     EXPECT_TRUE(ep.collectReady(8).empty());
 }
 
+/**
+ * Reference epoll: the full interest-list scan the ready set replaces.
+ * Visits every watched fd cyclically from just after the cursor.
+ */
+struct FullScanEpoll
+{
+    std::map<Fd, std::shared_ptr<File>> interest;
+    Fd cursor = 0;
+
+    std::vector<ReadyFd>
+    collectReady(std::size_t max_events)
+    {
+        std::vector<ReadyFd> out;
+        if (interest.empty() || max_events == 0)
+            return out;
+        auto start = interest.upper_bound(cursor);
+        if (start == interest.end())
+            start = interest.begin();
+        auto it = start;
+        do {
+            if (it->second->readable()) {
+                out.push_back(ReadyFd{it->first, true,
+                                      it->second->writable()});
+                cursor = it->first;
+                if (out.size() >= max_events)
+                    break;
+            }
+            if (++it == interest.end())
+                it = interest.begin();
+        } while (it != start);
+        return out;
+    }
+
+    bool
+    readable() const
+    {
+        return std::any_of(interest.begin(), interest.end(),
+                           [](const auto &p) { return p.second->readable(); });
+    }
+};
+
+TEST(EpollTest, ReadySetMatchesFullScan)
+{
+    constexpr int kSockets = 12;
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        std::mt19937_64 rng(seed);
+        auto pick = [&rng](int n) {
+            return static_cast<int>(rng() % static_cast<unsigned>(n));
+        };
+        // fds 0..11 sockets, 12 a listener, 13 a nested epoll that
+        // watches the first four sockets.
+        std::vector<std::shared_ptr<Socket>> socks;
+        for (int i = 0; i < kSockets; ++i)
+            socks.push_back(std::make_shared<Socket>(i));
+        auto listener = std::make_shared<ListenSocket>();
+        auto inner = std::make_shared<EpollInstance>();
+        std::vector<std::shared_ptr<File>> files(socks.begin(), socks.end());
+        files.push_back(listener);
+        files.push_back(inner);
+        const int nfiles = static_cast<int>(files.size());
+
+        EpollInstance ep;
+        FullScanEpoll ref;
+        for (int fd = 0; fd < 4; ++fd)
+            inner->add(fd, socks[fd]);
+
+        for (int step = 0; step < 3000; ++step) {
+            switch (pick(7)) {
+            case 0:
+                socks[pick(kSockets)]->deliver(Message{}, step);
+                break;
+            case 1: {
+                auto &s = socks[pick(kSockets)];
+                if (s->hasData())
+                    s->pop();
+                break;
+            }
+            case 2:
+                if (pick(2) == 0)
+                    listener->enqueueConnection(std::make_shared<Socket>(99));
+                else if (listener->hasPending())
+                    listener->acceptOne();
+                break;
+            case 3: {
+                const Fd fd = pick(nfiles);
+                if (!ref.interest.count(fd)) {
+                    ep.add(fd, files[fd]);
+                    ref.interest.emplace(fd, files[fd]);
+                }
+                break;
+            }
+            case 4: {
+                const Fd fd = pick(nfiles);
+                ep.remove(fd);
+                ref.interest.erase(fd);
+                break;
+            }
+            case 5: {
+                // Churn the nested epoll's own interest list too.
+                const Fd fd = pick(4);
+                inner->remove(fd);
+                if (pick(2) == 0)
+                    inner->add(fd, socks[fd]);
+                break;
+            }
+            default: {
+                const auto max_events = static_cast<std::size_t>(1 + pick(16));
+                const auto got = ep.collectReady(max_events);
+                const auto want = ref.collectReady(max_events);
+                ASSERT_EQ(got.size(), want.size())
+                    << "seed " << seed << " step " << step;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    ASSERT_EQ(got[i].fd, want[i].fd)
+                        << "seed " << seed << " step " << step;
+                    ASSERT_EQ(got[i].readable, want[i].readable);
+                    ASSERT_EQ(got[i].writable, want[i].writable);
+                }
+                break;
+            }
+            }
+            ASSERT_EQ(ep.readable(), ref.readable())
+                << "seed " << seed << " step " << step;
+        }
+    }
+}
+
 // --------------------------------------------------- syscalls end-to-end
 
 TEST(KernelSyscallTest, EchoThreadRoundTrip)
@@ -359,6 +489,65 @@ TEST(KernelSyscallTest, AcceptDrainsListenQueue)
     h.sim.runFor(sim::milliseconds(1));
     EXPECT_GE(accepted2, 0);
     EXPECT_NE(h.kernel.socketAt(pid, accepted2), nullptr);
+}
+
+TEST(KernelSyscallTest, FdLookupsRejectBadAndMistypedFds)
+{
+    Harness h;
+    const Pid pid = h.kernel.createProcess("fds");
+    auto [fd, sock] = h.kernel.installSocket(pid, 1);
+    Fd epfd = -1;
+    Fd lfd = -1;
+    h.kernel.spawnThread(pid, [&epfd, &lfd](Kernel &k, Tid tid) -> Task {
+        epfd = k.epollCreate(tid);
+        lfd = k.listen(tid);
+        co_return;
+    });
+    h.sim.runFor(sim::microseconds(1));
+    ASSERT_GE(epfd, 0);
+    ASSERT_GE(lfd, 0);
+
+    EXPECT_EQ(h.kernel.socketAt(pid, fd), sock.get());
+    EXPECT_EQ(h.kernel.sharedSocketAt(pid, fd), sock);
+    EXPECT_EQ(h.kernel.fileAt(pid, fd), sock.get());
+    for (Fd bad : {-1, -1000, lfd + 1, 1 << 20}) {
+        EXPECT_EQ(h.kernel.fileAt(pid, bad), nullptr) << bad;
+        EXPECT_EQ(h.kernel.socketAt(pid, bad), nullptr) << bad;
+        EXPECT_EQ(h.kernel.sharedSocketAt(pid, bad), nullptr) << bad;
+        EXPECT_EQ(h.kernel.epollAt(pid, bad), nullptr) << bad;
+        EXPECT_EQ(h.kernel.listenerAt(pid, bad), nullptr) << bad;
+    }
+    // stdin..stderr are never installed.
+    for (Fd std_fd : {0, 1, 2})
+        EXPECT_EQ(h.kernel.fileAt(pid, std_fd), nullptr) << std_fd;
+    // Non-socket fds exist but are not sockets, and vice versa.
+    EXPECT_NE(h.kernel.fileAt(pid, epfd), nullptr);
+    EXPECT_EQ(h.kernel.socketAt(pid, epfd), nullptr);
+    EXPECT_EQ(h.kernel.socketAt(pid, lfd), nullptr);
+    EXPECT_EQ(h.kernel.sharedSocketAt(pid, lfd), nullptr);
+    EXPECT_NE(h.kernel.epollAt(pid, epfd), nullptr);
+    EXPECT_EQ(h.kernel.epollAt(pid, fd), nullptr);
+    EXPECT_NE(h.kernel.listenerAt(pid, lfd), nullptr);
+    EXPECT_EQ(h.kernel.listenerAt(pid, epfd), nullptr);
+}
+
+TEST(KernelSyscallTest, SelectSkipsUnknownFds)
+{
+    // select() takes the caller's fd list as is: fds that do not exist
+    // are never ready and never watched.
+    Harness h;
+    const Pid pid = h.kernel.createProcess("sel");
+    auto [fd, sock] = h.kernel.installSocket(pid, 1);
+    std::vector<Fd> got;
+    h.kernel.spawnThread(pid, [fd = fd, &got](Kernel &k, Tid tid) -> Task {
+        std::vector<Fd> fds{-1, 1 << 20, fd};
+        got = co_await k.select(tid, std::move(fds), -1);
+    });
+    auto *sk = sock.get();
+    h.sim.schedule(sim::microseconds(100),
+                   [&, sk] { sk->deliver(Message{}, h.sim.now()); });
+    h.sim.runFor(sim::milliseconds(1));
+    EXPECT_EQ(got, std::vector<Fd>{fd});
 }
 
 TEST(KernelSyscallTest, SleepForTakesSimulatedTime)
