@@ -118,6 +118,18 @@ sys.exit(0 if metrics["ebpf.native_share"]["value"] == 1 else 1)'; then
     fi
     echo "$wl: $(grep '^# digest:' "$tmp/perfbench-$wl"), native_share 1"
 done
+# Scheduler tie-order bugs (which of two same-tick events runs first)
+# show on some seeds and not others: check the discrete-scheduler
+# workload on a second recorded seed as well.
+python3 "$repo/perfbench/run.py" --workload fleet-runq --seed 1 \
+    --seconds 1 --trace 1 > "$tmp/perfbench-fleet-runq-seed1"
+if ! tail -n 1 "$tmp/perfbench-fleet-runq-seed1" |
+    grep -q '"correct": true'; then
+    cat "$tmp/perfbench-fleet-runq-seed1"
+    echo "perfbench fleet-runq seed 1: output digests do not match" >&2
+    exit 1
+fi
+echo "fleet-runq: $(grep '^# digest:' "$tmp/perfbench-fleet-runq-seed1")"
 
 if [ "$run_sanitize" = 1 ]; then
     echo "== Sanitizer build + tests =="

@@ -2,9 +2,9 @@
 
 #include <array>
 #include <bitset>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "ebpf/helpers.hh"
@@ -53,6 +53,36 @@ struct VState
     {
         return regs == o.regs && stackInit == o.stackInit;
     }
+
+    /**
+     * 64-bit digest consistent with operator==: equal states hash
+     * equal (a register's value counts only when it is known).
+     */
+    std::uint64_t
+    hash() const
+    {
+        std::uint64_t h = stackInit.to_ullong();
+        const auto mix = [&h](std::uint64_t v) {
+            h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+        };
+        for (const RegState &r : regs) {
+            mix(static_cast<std::uint64_t>(r.type) |
+                static_cast<std::uint64_t>(r.known) << 8 |
+                static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.off))
+                    << 32);
+            mix(reinterpret_cast<std::uintptr_t>(r.map));
+            if (r.known)
+                mix(r.value);
+        }
+        return h;
+    }
+};
+
+/** An explored state with its digest, compared digest-first. */
+struct SeenState
+{
+    std::uint64_t hash;
+    VState state;
 };
 
 /** Verification engine: one pass over all reachable paths. */
@@ -73,6 +103,7 @@ class Engine
             return fail(0, "program too large (%zu > %zu insns)",
                         prog_.insns.size(), limits_.maxInsns);
 
+        seen_.resize(prog_.insns.size());
         VState init;
         init.regs[R1].type = RegType::PtrCtx;
         init.regs[R10].type = RegType::PtrStack;
@@ -98,7 +129,8 @@ class Engine
     const ProgramSpec &prog_;
     const VerifierLimits &limits_;
     std::deque<std::pair<std::size_t, VState>> work_;
-    std::map<std::size_t, std::vector<VState>> seen_;
+    /** Explored states per pc (indexed by pc). */
+    std::vector<std::vector<SeenState>> seen_;
     std::string error_;
     std::int32_t minStackOff_ = 0; ///< lowest r10-relative byte accessed
 
@@ -138,11 +170,12 @@ class Engine
         if (pc >= prog_.insns.size())
             return setError(pc, "control flow falls off the program");
         auto &states = seen_[pc];
-        for (const VState &s : states) {
-            if (s == state)
+        const std::uint64_t h = state.hash();
+        for (const SeenState &s : states) {
+            if (s.hash == h && s.state == state)
                 return true; // already explored from an equal state
         }
-        states.push_back(state);
+        states.push_back({h, state});
         work_.push_back({pc, std::move(state)});
         return true;
     }

@@ -61,13 +61,7 @@ CpuModel::activeJobs() const
 {
     if (config_.sched == SchedModel::Gps)
         return jobs_.size();
-    std::size_t n = 0;
-    for (const Core &core : cores_) {
-        n += core.queue.size();
-        if (core.busy && !core.dispatching)
-            ++n;
-    }
-    return n;
+    return activeTasks_;
 }
 
 CpuModel::JobId
@@ -109,12 +103,14 @@ CpuModel::cancel(JobId id)
             const std::uint32_t prev = core.run.tid;
             core.busy = false;
             core.run.onDone = nullptr;
+            --activeTasks_;
             dispatch(c, prev, /*prev_runnable=*/false);
             return;
         }
         for (auto it = core.queue.begin(); it != core.queue.end(); ++it) {
             if (it->id == id) {
                 core.queue.erase(it);
+                --activeTasks_;
                 return;
             }
         }
@@ -209,7 +205,11 @@ CpuModel::reschedule()
     const double dt = std::max(0.0, min_remaining) / rate;
     const sim::Tick delay =
         static_cast<sim::Tick>(std::ceil(std::max(0.0, dt)));
-    completionEvent_ = sim_.schedule(delay, [this] { onCompletion(); });
+    // Inside onCompletion the fired completion event re-arms in place.
+    if (completionEvent_.running())
+        completionEvent_ = sim_.rearmCurrent(delay);
+    else
+        completionEvent_ = sim_.schedule(delay, [this] { onCompletion(); });
 }
 
 void
@@ -269,6 +269,7 @@ CpuModel::submitDiscrete(sim::Tick demand, const TaskRef &task,
     nextCore_ = (nextCore_ + 1) % static_cast<unsigned>(cores_.size());
     Core &core = cores_[c];
     core.queue.push_back(std::move(t));
+    ++activeTasks_;
     if (!core.busy)
         dispatch(c, /*prev_tid=*/0, /*prev_runnable=*/false);
     return id;
@@ -309,14 +310,16 @@ CpuModel::dispatch(unsigned c, std::uint32_t prev_tid, bool prev_runnable)
         delay = fault_->injectSchedDelay();
     if (delay > 0) {
         // The switch-in itself is late (stolen timeslice / softirq
-        // storm): the core is reserved but nothing runs yet.
+        // storm): the core is reserved but nothing runs yet. Nothing
+        // cancels the delayed switch-in, and core.slice only ever names
+        // a slice event, so startSlice never re-arms this one.
         core.busy = true;
         core.dispatching = true;
-        core.slice =
-            sim_.schedule(delay, [this, c, prev_tid, prev_runnable] {
-                cores_[c].dispatching = false;
-                switchIn(c, prev_tid, prev_runnable);
-            });
+        core.slice = {};
+        sim_.schedule(delay, [this, c, prev_tid, prev_runnable] {
+            cores_[c].dispatching = false;
+            switchIn(c, prev_tid, prev_runnable);
+        });
         return;
     }
     switchIn(c, prev_tid, prev_runnable);
@@ -360,7 +363,12 @@ CpuModel::startSlice(unsigned c)
         std::min(ttf, static_cast<double>(config_.quantum));
     const sim::Tick delay =
         std::max<sim::Tick>(1, static_cast<sim::Tick>(std::ceil(dt)));
-    core.slice = sim_.schedule(delay, [this, c] { onSlice(c); });
+    // Inside this core's own slice event (continue, preempt-then-next,
+    // complete-then-next) the fired event re-arms in place.
+    if (core.slice.running())
+        core.slice = sim_.rearmCurrent(delay);
+    else
+        core.slice = sim_.schedule(delay, [this, c] { onSlice(c); });
 }
 
 void
@@ -370,6 +378,7 @@ CpuModel::onSlice(unsigned c)
     advanceCore(core);
     if (core.run.remaining <= kEpsilon) {
         ++completed_;
+        --activeTasks_;
         auto cb = std::move(core.run.onDone);
         const std::uint32_t prev = core.run.tid;
         core.busy = false;

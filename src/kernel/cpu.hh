@@ -203,7 +203,7 @@ class CpuModel
         bool busy = false; ///< run holds a task (or a delayed switch-in)
         Task run;
         std::deque<Task> queue;
-        sim::EventId slice;
+        sim::EventId slice; ///< the running task's slice event (only)
         sim::Tick sliceStart = 0;
         bool dispatching = false; ///< switch-in delayed by a sched fault
     };
@@ -227,6 +227,8 @@ class CpuModel
     std::vector<Core> cores_;
     unsigned nextCore_ = 0; ///< round-robin placement cursor
     std::vector<std::uint32_t> seenTids_;
+    /** Tasks queued or running: submitted - completed - cancelled. */
+    std::size_t activeTasks_ = 0;
     std::uint64_t dispatches_ = 0;
     std::uint64_t preemptions_ = 0;
 

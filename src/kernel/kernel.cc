@@ -116,16 +116,6 @@ Kernel::slotAt(Pid pid, Fd fd) const
     return &proc.fds[fd];
 }
 
-sim::EventId
-Kernel::scheduleGuarded(sim::Tick delay, std::function<void()> fn)
-{
-    auto alive = alive_;
-    return sim_.schedule(delay, [alive, fn = std::move(fn)] {
-        if (*alive)
-            fn();
-    });
-}
-
 void
 Kernel::resumeHandle(std::coroutine_handle<> h)
 {

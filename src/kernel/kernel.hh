@@ -463,8 +463,20 @@ class Kernel
     void finishSyscall(Tid tid, std::int64_t syscall, std::int64_t ret,
                        std::coroutine_handle<> h);
 
-    /** Schedule @p fn guarded against kernel teardown. */
-    sim::EventId scheduleGuarded(sim::Tick delay, std::function<void()> fn);
+    /**
+     * Schedule @p fn guarded against kernel teardown. The callable goes
+     * straight into the event's inline callback storage.
+     */
+    template <typename Fn>
+    sim::EventId
+    scheduleGuarded(sim::Tick delay, Fn &&fn)
+    {
+        return sim_.schedule(
+            delay, [alive = alive_, fn = std::forward<Fn>(fn)]() mutable {
+                if (*alive)
+                    fn();
+            });
+    }
 
     /** Resume @p h now if the kernel is still alive. */
     void resumeHandle(std::coroutine_handle<> h);

@@ -34,16 +34,6 @@ FrontDoor::FrontDoor(kernel::Kernel &kernel, const FrontDoorConfig &config)
 
 FrontDoor::~FrontDoor() { *alive_ = false; }
 
-void
-FrontDoor::scheduleGuarded(sim::Tick delay, std::function<void()> fn)
-{
-    auto alive = alive_;
-    sim_.schedule(delay, [alive, fn = std::move(fn)] {
-        if (*alive)
-            fn();
-    });
-}
-
 unsigned
 FrontDoor::addListener(kernel::Pid pid, const ListenerConfig &config)
 {

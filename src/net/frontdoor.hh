@@ -255,7 +255,18 @@ class FrontDoor
                         kernel::Pid pid);
     kernel::Task acceptorBody(kernel::Kernel &k, kernel::Tid tid,
                               unsigned listener);
-    void scheduleGuarded(sim::Tick delay, std::function<void()> fn);
+
+    /** Schedule @p fn guarded against front-door teardown. */
+    template <typename Fn>
+    void
+    scheduleGuarded(sim::Tick delay, Fn &&fn)
+    {
+        sim_.schedule(delay,
+                      [alive = alive_, fn = std::forward<Fn>(fn)]() mutable {
+                          if (*alive)
+                              fn();
+                      });
+    }
 };
 
 } // namespace reqobs::net

@@ -10,10 +10,17 @@
  * Storage is allocation-free per event: event states live in a pooled
  * slab (a chunked deque recycled through a free list) and callbacks are
  * stored inline in a fixed-size buffer instead of a heap-backed
- * std::function. The heap orders lightweight (tick, seq, slot) entries
- * by value. The seed design paid two heap allocations per event
- * (shared_ptr<State> + std::function); a sweep schedules tens of
- * millions, which made the allocator the simulator's hottest path.
+ * std::function. The heap is a hand-written binary heap of 16-byte
+ * packed keys, (tick << 64 | seq << 24 | slot), compared as one
+ * unsigned 128-bit integer. The seed design paid two heap allocations
+ * per event (shared_ptr<State> + std::function); a sweep schedules tens
+ * of millions, which made the allocator the simulator's hottest path.
+ *
+ * A running event may re-arm itself (rearmCurrent) instead of
+ * scheduling a successor: its entry stays at the heap root while the
+ * callback runs and gets its new key with one sift-down when the
+ * callback returns, and its slot keeps the callback. Periodic timers
+ * (CPU quanta, the GPS completion) re-arm this way on every firing.
  */
 
 #ifndef REQOBS_SIM_EVENT_QUEUE_HH
@@ -23,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -62,7 +68,10 @@ class InlineCallback
         reset();
         ::new (static_cast<void *>(buf_)) Fd(std::forward<F>(fn));
         invoke_ = [](void *p) { (*static_cast<Fd *>(p))(); };
-        destroy_ = [](void *p) { static_cast<Fd *>(p)->~Fd(); };
+        // Trivially destructible captures (the common [this, ...]
+        // lambdas) need no destroy call when the slot is released.
+        if constexpr (!std::is_trivially_destructible_v<Fd>)
+            destroy_ = [](void *p) { static_cast<Fd *>(p)->~Fd(); };
     }
 
     void operator()() { invoke_(buf_); }
@@ -100,6 +109,12 @@ class EventId
     /** Cancel the event if still pending; harmless otherwise. */
     void cancel();
 
+    /**
+     * True while this event's callback is running, i.e. while it may
+     * re-arm itself through EventQueue::rearmCurrent().
+     */
+    bool running() const;
+
   private:
     friend class EventQueue;
 
@@ -117,8 +132,11 @@ class EventId
  *
  * The queue does not own a clock; Simulation advances time to the tick of
  * each popped event. popAndRun() never runs an event scheduled in the past
- * relative to the previously popped one (monotonic time is an invariant,
- * checked in debug builds).
+ * relative to the previously popped one (monotonic time is an invariant).
+ *
+ * Callbacks must not run the queue themselves (no nested popAndRun) and
+ * must not ask it for nextTick()/empty(): while a callback runs, its own
+ * entry still sits at the heap root.
  */
 class EventQueue
 {
@@ -139,6 +157,17 @@ class EventQueue
         return EventId(this, slot, st.gen);
     }
 
+    /**
+     * Re-arm the event whose callback is running now at absolute tick
+     * @p when, as if it were cancelled and scheduled afresh with the
+     * same callback: the insertion sequence is taken at this call, and
+     * handles to the fired incarnation go inert. May be called more
+     * than once per run (the last call wins); cancelling the returned
+     * handle before the callback returns drops the event.
+     * @pre a callback is running and when >= its tick.
+     */
+    EventId rearmCurrent(Tick when);
+
     /** Tick of the earliest pending event, or kTickMax if none. */
     Tick nextTick() const;
 
@@ -147,7 +176,9 @@ class EventQueue
 
     /**
      * Number of queued entries. Upper bound on live events: entries
-     * cancelled while buried in the heap are still counted until popped.
+     * cancelled while buried in the heap are still counted until popped,
+     * and a running event's own entry is counted until its callback
+     * returns.
      */
     std::size_t size() const { return heap_.size(); }
 
@@ -156,7 +187,14 @@ class EventQueue
      * @param[out] now Set to the event's tick before the callback runs.
      * @return false if the queue was empty.
      */
-    bool popAndRun(Tick &now);
+    bool popAndRun(Tick &now) { return popAndRunUntil(kTickMax, now); }
+
+    /**
+     * Pop the earliest event and run it if its tick is <= @p deadline.
+     * @param[out] now Set to the event's tick before the callback runs.
+     * @return false if no live event is due by @p deadline.
+     */
+    bool popAndRunUntil(Tick deadline, Tick &now);
 
     /** Total events executed so far (for stats/debugging). */
     std::uint64_t executedCount() const { return executed_; }
@@ -170,38 +208,43 @@ class EventQueue
     /** One pooled event state. Addresses are stable (deque chunks). */
     struct State
     {
-        Tick when = 0;
         std::uint32_t gen = 0;
         bool cancelled = false;
         bool fired = false;
         InlineCallback cb;
     };
 
-    /** What the heap orders: the full key plus the slab slot. */
-    struct HeapEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+    /**
+     * What the heap orders: tick << 64 | seq << kSlotBits | slot. Keys
+     * are unique (seq is), so comparing them as integers is exactly
+     * the (tick, seq) order.
+     */
+    using Key = unsigned __int128;
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr unsigned kSeqBits = 64 - kSlotBits;
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
     std::deque<State> slab_;
     std::vector<std::uint32_t> free_;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap_;
+    std::vector<Key> heap_; ///< binary min-heap; heap_[0] is the root
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     Tick lastPopped_ = 0;
+    /** Slot whose callback is running (it is the heap root), or none. */
+    std::uint32_t running_ = kNoSlot;
+    /** The running event's next key once rearmCurrent() was called. */
+    Key rearmKey_ = 0;
+
+    static Tick keyWhen(Key k) { return static_cast<Tick>(k >> 64); }
+
+    static std::uint32_t
+    keySlot(Key k)
+    {
+        return static_cast<std::uint32_t>(k) & ((1u << kSlotBits) - 1);
+    }
+
+    /** Pack (when, next seq, slot); panics when seq overflows its bits. */
+    Key makeKey(Tick when, std::uint32_t slot);
 
     /** Validate @p when, claim a slot, push the heap entry. */
     std::uint32_t prepare(Tick when);
@@ -212,7 +255,14 @@ class EventQueue
     /** Drop cancelled entries from the top of the heap. */
     void skipCancelled();
 
+    void push(Key key);
+    /** Remove the root. */
+    void popRoot();
+    /** Place @p key at hole @p i and restore the heap below it. */
+    void siftDown(std::size_t i, Key key);
+
     bool slotPending(std::uint32_t slot, std::uint32_t gen) const;
+    bool slotRunning(std::uint32_t slot, std::uint32_t gen) const;
     void cancelSlot(std::uint32_t slot, std::uint32_t gen);
 };
 

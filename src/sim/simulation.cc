@@ -33,8 +33,7 @@ Simulation::run()
 void
 Simulation::runUntil(Tick deadline)
 {
-    while (!events_.empty() && events_.nextTick() <= deadline) {
-        events_.popAndRun(now_);
+    while (events_.popAndRunUntil(deadline, now_)) {
     }
     if (now_ < deadline)
         now_ = deadline;

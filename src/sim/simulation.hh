@@ -58,6 +58,18 @@ class Simulation
         return events_.schedule(when, std::forward<Fn>(fn));
     }
 
+    /**
+     * Re-arm the event whose callback is running now, @p delay ticks
+     * from now, keeping its callback (EventQueue::rearmCurrent).
+     * @pre called from that callback; delay >= 0.
+     */
+    EventId
+    rearmCurrent(Tick delay)
+    {
+        checkDelay(delay);
+        return events_.rearmCurrent(now_ + delay);
+    }
+
     /** Run until the queue drains. */
     void run();
 

@@ -259,6 +259,73 @@ TEST(SchedDiscrete, SchedDelayFaultDelaysSwitchIn)
     EXPECT_EQ(cpu.completedJobs(), 1u);
 }
 
+TEST(SchedDiscrete, ActiveJobsCountSurvivesEveryTransition)
+{
+    // Discrete counterpart of ActiveJobsAccountingSurvivesFlatStorage:
+    // activeJobs() is a running count (submitted - completed -
+    // cancelled), checked against a recount of the live tasks after a
+    // delayed switch-in, a queued cancel, a preemption, a running
+    // cancel and a completion. One core, a 100-tick quantum and a
+    // 50-tick sched delay on every switch-in.
+    sim::Simulation sim(1);
+    CpuModel cpu(sim, discreteCpu(1, 100));
+    fault::FaultPlan plan;
+    plan.schedDelayProbability = 1.0;
+    plan.schedDelayNs = 50;
+    fault::FaultInjector inj(plan, sim.forkRng());
+    cpu.setFaultInjector(&inj);
+    std::uint32_t running = 0;
+    cpu.setSchedEventHook([&](const CpuModel::SchedEvent &ev) {
+        if (ev.type == CpuModel::SchedEventType::Switch)
+            running = ev.tid;
+    });
+
+    std::vector<CpuModel::JobId> live;
+    const auto submit = [&](std::uint32_t tid) {
+        const CpuModel::JobId id =
+            cpu.submit(300, CpuModel::TaskRef{tid, tid}, [&live, &cpu] {
+                // The finished job is the one no longer counted.
+                live.erase(live.begin());
+                EXPECT_EQ(cpu.activeJobs(), live.size());
+            });
+        live.push_back(id);
+        return id;
+    };
+    const auto cancel = [&](CpuModel::JobId id) {
+        cpu.cancel(id);
+        live.erase(std::find(live.begin(), live.end(), id));
+    };
+
+    const CpuModel::JobId a = submit(1);
+    const CpuModel::JobId b = submit(2);
+    const CpuModel::JobId c = submit(3);
+    // a's switch-in is delayed: the core is reserved, a still queued.
+    EXPECT_EQ(running, 0u);
+    EXPECT_EQ(cpu.activeJobs(), 3u);
+    cancel(c); // queued cancel
+    EXPECT_EQ(cpu.activeJobs(), live.size());
+
+    sim.runUntil(50); // a switches in
+    EXPECT_EQ(running, 1u);
+    EXPECT_EQ(cpu.activeJobs(), live.size());
+
+    sim.runUntil(150); // a's quantum expires with b waiting
+    EXPECT_EQ(cpu.preemptions(), 1u);
+    EXPECT_EQ(cpu.activeJobs(), live.size());
+
+    sim.runUntil(200); // b switches in after its delay
+    ASSERT_EQ(running, 2u);
+    cancel(b); // running cancel
+    EXPECT_EQ(cpu.activeJobs(), live.size());
+    EXPECT_EQ(live, (std::vector<CpuModel::JobId>{a}));
+
+    sim.run(); // a finishes alone on the core
+    EXPECT_EQ(cpu.completedJobs(), 1u);
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(cpu.activeJobs(), 0u);
+    EXPECT_EQ(inj.counts().schedDelays, 3u);
+}
+
 TEST(SchedDiscrete, GpsModeEmitsNoSchedEvents)
 {
     sim::Simulation sim;

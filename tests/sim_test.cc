@@ -106,6 +106,177 @@ TEST(EventQueueDeathTest, SchedulingIntoThePastPanics)
     EXPECT_DEATH(q.schedule(50, [] {}), "past");
 }
 
+// ----------------------------------------------------- EventQueue re-arm
+
+TEST(EventQueueRearmTest, RearmedEventRunsBeforeLaterSameTickSchedules)
+{
+    // A re-arm takes its sequence number at the call: an event scheduled
+    // for the same tick earlier runs first, one scheduled after the
+    // re-arm runs second.
+    EventQueue q;
+    std::vector<char> order;
+    int runs = 0;
+    q.schedule(10, [&] {
+        order.push_back('A');
+        if (++runs == 1) {
+            q.rearmCurrent(20);
+            q.schedule(20, [&] { order.push_back('B'); });
+        }
+    });
+    q.schedule(20, [&] { order.push_back('C'); });
+    Tick now = 0;
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_EQ(q.nextTick(), 20);
+    EXPECT_EQ(q.size(), 3u);
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'A', 'B'}));
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.nextTick(), kTickMax);
+    EXPECT_EQ(q.slabSize(), 3u);
+    EXPECT_EQ(q.executedCount(), 4u);
+}
+
+TEST(EventQueueRearmTest, RearmToNowRunsAfterEventsQueuedForNow)
+{
+    EventQueue q;
+    std::vector<char> order;
+    int runs = 0;
+    q.schedule(10, [&] {
+        order.push_back('A');
+        if (++runs == 1)
+            q.rearmCurrent(10);
+    });
+    q.schedule(10, [&] { order.push_back('B'); });
+    q.schedule(10, [&] { order.push_back('C'); });
+    Tick now = 0;
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_EQ(q.nextTick(), 10);
+    EXPECT_EQ(q.size(), 3u);
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'A'}));
+    EXPECT_EQ(now, 10);
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueueRearmTest, RearmedThenCancelledNeverRunsAndFreesItsSlot)
+{
+    EventQueue q;
+    int runs = 0;
+    q.schedule(10, [&] {
+        ++runs;
+        EventId next = q.rearmCurrent(50);
+        next.cancel();
+        EXPECT_FALSE(next.pending());
+    });
+    Tick now = 0;
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.nextTick(), kTickMax);
+    EXPECT_TRUE(q.empty());
+
+    // The slot went back to the free list: the next event reuses it.
+    bool later = false;
+    q.schedule(60, [&] { later = true; });
+    EXPECT_EQ(q.slabSize(), 1u);
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(runs, 1);
+    EXPECT_TRUE(later);
+    EXPECT_EQ(now, 60);
+}
+
+TEST(EventQueueRearmTest, CancelOfBuriedRearmedEventIsLazy)
+{
+    // A re-armed event cancelled by another event later on stays in the
+    // heap until it reaches the top, like any cancelled entry.
+    EventQueue q;
+    int runs = 0;
+    EventId rearmed;
+    q.schedule(10, [&] {
+        ++runs;
+        rearmed = q.rearmCurrent(50);
+    });
+    q.schedule(20, [&] { rearmed.cancel(); });
+    Tick now = 0;
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_TRUE(rearmed.pending());
+    EXPECT_EQ(q.nextTick(), 20);
+    EXPECT_EQ(q.size(), 2u);
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_FALSE(rearmed.pending());
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.nextTick(), kTickMax);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_FALSE(q.popAndRun(now));
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(EventQueueRearmTest, HandleToFiredIncarnationIsInertAfterRearm)
+{
+    EventQueue q;
+    EventId first;
+    EventId second;
+    int runs = 0;
+    first = q.schedule(10, [&] {
+        if (++runs > 1)
+            return;
+        EXPECT_TRUE(first.running());
+        EXPECT_FALSE(first.pending());
+        second = q.rearmCurrent(30);
+        EXPECT_FALSE(first.running());
+        EXPECT_TRUE(second.running());
+        EXPECT_TRUE(second.pending());
+        first.cancel(); // names the fired incarnation: no effect
+        EXPECT_TRUE(second.pending());
+    });
+    Tick now = 0;
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_FALSE(first.pending());
+    EXPECT_FALSE(first.running());
+    EXPECT_TRUE(second.pending());
+    EXPECT_FALSE(second.running());
+    EXPECT_EQ(q.nextTick(), 30);
+    EXPECT_EQ(q.size(), 1u);
+    first.cancel();
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_EQ(runs, 2);
+    EXPECT_EQ(now, 30);
+    EXPECT_FALSE(second.pending());
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueueRearmTest, PeriodicTimerKeepsOneSlot)
+{
+    Simulation sim;
+    std::vector<Tick> fired;
+    sim.schedule(5, [&] {
+        fired.push_back(sim.now());
+        if (fired.size() < 4)
+            sim.rearmCurrent(10);
+    });
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{5, 15, 25, 35}));
+    EXPECT_EQ(sim.events().slabSize(), 1u);
+    EXPECT_EQ(sim.executedEvents(), 4u);
+}
+
+TEST(EventQueueRearmDeathTest, RearmingIntoThePastPanics)
+{
+    EventQueue q;
+    q.schedule(100, [&] { q.rearmCurrent(50); });
+    Tick now = 0;
+    EXPECT_DEATH(q.popAndRun(now), "past");
+}
+
+TEST(EventQueueRearmDeathTest, RearmOutsideACallbackPanics)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.rearmCurrent(10), "no event is running");
+}
+
 // ------------------------------------------------------------ Simulation
 
 TEST(SimulationTest, ClockFollowsEvents)
